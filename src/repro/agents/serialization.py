@@ -43,85 +43,82 @@ def deep_size_bytes(value: Any) -> int:
     :class:`SerializationError` the way a real serializer would reject a
     cyclic object graph.
     """
-    # Scalar fast path: no stack, no ancestor set.
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return _SIZE_BOOL
-    if isinstance(value, (int, float)):
-        return _SIZE_NUMBER
-    if isinstance(value, str):
-        return _OVERHEAD_PER_OBJECT + len(value.encode("utf-8"))
-    if isinstance(value, (bytes, bytearray)):
-        return _OVERHEAD_PER_OBJECT + len(value)
     total = 0
     stack = [value]
+    pop = stack.pop
+    push = stack.append
     # Identity set of *container* ancestors on the current DFS path: a
     # container re-encountered while still open is a cycle.  Sentinel
     # frames pop ids when a container's children are exhausted, so shared
     # (diamond) references are still legal and charged once per occurrence.
     open_ids: set = set()
     while stack:
-        node = stack.pop()
-        if type(node) is _CloseFrame:
-            open_ids.discard(node.ident)
+        node = pop()
+        # Exact-type dispatch for the shapes agent state is made of; every
+        # other type (subclasses included) takes the ``isinstance`` chain.
+        kind = type(node)
+        if kind is str:
+            total += _OVERHEAD_PER_OBJECT + (
+                len(node) if node.isascii() else len(node.encode("utf-8")))
             continue
-        if node is None:
-            total += 1
-            continue
-        if isinstance(node, bool):
-            total += _SIZE_BOOL
-            continue
-        if isinstance(node, (int, float)):
+        if kind is int or kind is float:
             total += _SIZE_NUMBER
             continue
-        if isinstance(node, str):
-            total += _OVERHEAD_PER_OBJECT + len(node.encode("utf-8"))
+        if kind is _CloseFrame:
+            open_ids.discard(node.ident)
             continue
-        if isinstance(node, (bytes, bytearray)):
-            total += _OVERHEAD_PER_OBJECT + len(node)
-            continue
-        if isinstance(node, (list, tuple, set, frozenset)):
-            ident = id(node)
-            if ident in open_ids:
+        if kind is not dict and kind is not list and kind is not tuple:
+            if node is None:
+                total += 1
+                continue
+            if isinstance(node, bool):
+                total += _SIZE_BOOL
+                continue
+            if isinstance(node, (int, float)):
+                total += _SIZE_NUMBER
+                continue
+            if isinstance(node, str):
+                total += _OVERHEAD_PER_OBJECT + len(node.encode("utf-8"))
+                continue
+            if isinstance(node, (bytes, bytearray)):
+                total += _OVERHEAD_PER_OBJECT + len(node)
+                continue
+            if isinstance(node, dict):
+                kind = dict
+            elif not isinstance(node, (list, tuple, set, frozenset)):
+                declared = getattr(node, "size_bytes", None)
+                if type(declared) is int:
+                    # Domain objects (e.g. data components) may declare
+                    # their own size.  ``type`` (not ``isinstance``) on
+                    # purpose: ``bool`` is an ``int`` subclass, and
+                    # ``size_bytes=True`` is a bug to reject, not a 1-byte
+                    # payload.
+                    total += _OVERHEAD_PER_OBJECT + declared
+                    continue
                 raise SerializationError(
-                    "cannot size cyclic agent state: a "
-                    f"{type(node).__name__} contains itself")
-            open_ids.add(ident)
-            total += _OVERHEAD_PER_OBJECT
-            stack.append(_CloseFrame(ident))
-            stack.extend(node)
-            continue
-        if isinstance(node, dict):
-            ident = id(node)
-            if ident in open_ids:
-                raise SerializationError(
-                    "cannot size cyclic agent state: a dict contains "
-                    "itself")
-            open_ids.add(ident)
-            total += _OVERHEAD_PER_OBJECT
+                    f"cannot size value of type {type(node).__name__}; "
+                    f"agent state must be plain data")
+        ident = id(node)
+        if ident in open_ids:
+            raise SerializationError(
+                "cannot size cyclic agent state: a "
+                f"{'dict' if kind is dict else type(node).__name__} "
+                "contains itself")
+        open_ids.add(ident)
+        total += _OVERHEAD_PER_OBJECT
+        push(_CloseFrame(ident))
+        if kind is dict:
             # Virtual payloads: domain objects (media files, code bundles)
             # are not materialized in memory, but their wire size must be
             # honest.
             virtual = node.get("__virtual_bytes__")
             if type(virtual) is int and virtual > 0:
                 total += virtual
-            stack.append(_CloseFrame(ident))
             for k, v in node.items():
-                stack.append(k)
-                stack.append(v)
-            continue
-        declared = getattr(node, "size_bytes", None)
-        if type(declared) is int:
-            # Domain objects (e.g. data components) may declare their own
-            # size.  ``type`` (not ``isinstance``) on purpose: ``bool`` is
-            # an ``int`` subclass, and ``size_bytes=True`` is a bug to
-            # reject, not a 1-byte payload.
-            total += _OVERHEAD_PER_OBJECT + declared
-            continue
-        raise SerializationError(
-            f"cannot size value of type {type(node).__name__}; agent state "
-            f"must be plain data")
+                push(k)
+                push(v)
+        else:
+            stack.extend(node)
     return total
 
 

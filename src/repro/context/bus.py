@@ -31,6 +31,8 @@ class Subscription:
                  predicate: Optional[Predicate]):
         self.subscription_id = next(self._ids)
         self.topic = topic
+        #: ``"raw.*"`` -> ``"raw."``; ``None`` for an exact topic.
+        self.prefix = topic[:-1] if topic.endswith("*") else None
         self.listener = listener
         self.predicate = predicate
         self._bus = bus
@@ -45,8 +47,8 @@ class Subscription:
     def matches(self, event: ContextEvent) -> bool:
         if not self.active:
             return False
-        if self.topic.endswith("*"):
-            if not event.topic.startswith(self.topic[:-1]):
+        if self.prefix is not None:
+            if not event.topic.startswith(self.prefix):
                 return False
         elif event.topic != self.topic:
             return False
@@ -67,6 +69,9 @@ class ContextBus:
         self.delivery_delay_ms = float(delivery_delay_ms)
         self._subscriptions: List[Subscription] = []
         self._exact_index: Dict[str, List[Subscription]] = {}
+        #: Prefix (``*``) subscriptions in subscription order: every
+        #: publish must try them, so they are kept apart from the rest.
+        self._wildcards: List[Subscription] = []
         self.published = 0
 
     def subscribe(self, topic: str, listener: Listener,
@@ -81,8 +86,10 @@ class ContextBus:
             raise ValueError("topic must be non-empty")
         subscription = Subscription(self, topic, listener, predicate)
         self._subscriptions.append(subscription)
-        if not topic.endswith("*"):
+        if subscription.prefix is None:
             self._exact_index.setdefault(topic, []).append(subscription)
+        else:
+            self._wildcards.append(subscription)
         return subscription
 
     def _remove(self, subscription: Subscription) -> None:
@@ -90,8 +97,11 @@ class ContextBus:
             self._subscriptions.remove(subscription)
         except ValueError:
             pass
-        bucket = self._exact_index.get(subscription.topic)
-        if bucket and subscription in bucket:
+        if subscription.prefix is None:
+            bucket = self._exact_index.get(subscription.topic, ())
+        else:
+            bucket = self._wildcards
+        if subscription in bucket:
             bucket.remove(subscription)
 
     def publish(self, event: ContextEvent) -> int:
@@ -104,10 +114,9 @@ class ContextBus:
             event.timestamp = self.loop.now
         self.published += 1
         count = 0
-        # Exact-topic fast path plus any wildcard subscriptions.
-        candidates = list(self._exact_index.get(event.topic, ()))
-        candidates.extend(s for s in self._subscriptions
-                          if s.topic.endswith("*"))
+        # Exact-topic subscribers, then the wildcard ones (a new list, so
+        # a predicate that (un)subscribes cannot disturb this publish).
+        candidates = self._exact_index.get(event.topic, []) + self._wildcards
         for subscription in candidates:
             if subscription.matches(event):
                 count += 1

@@ -324,6 +324,15 @@ class Link:
         self.class_busy_ms: Dict[str, float] = {CONTROL: 0.0, BULK: 0.0}
         # -- bulk fair-share engine state ---------------------------------
         self._flows: Dict[Tuple[str, str], _BulkFlow] = {}
+        #: Flows whose cursor may still be ahead of ``now``: a flow joins
+        #: whenever its cursor is booked ahead (uncontended enqueue or
+        #: window round; the fluid engine only moves cursors to the current
+        #: instant), and :meth:`_other_flow_busy` drops the ones it finds
+        #: idle (``now`` never decreases, so an idle cursor stays idle until
+        #: it is booked again).  ``_flows`` itself is never pruned -- its
+        #: insertion order drives ``_advance`` and ``_retune`` -- so the
+        #: uncontended gate scans this index instead.
+        self._busy: Dict[Tuple[str, str], _BulkFlow] = {}
         #: True while >= 2 bulk flows contend (fluid mode); False on the
         #: uncontended fast path that mirrors the legacy arithmetic.
         self._contended = False
@@ -422,14 +431,13 @@ class Link:
                        None if lost else dispatch,
                        None if lost else on_arrival, receipt, on_dropped)
         if not self._contended:
-            if len(self._flows) == 1 or not any(
-                    f.cursor > now + self._EPS and f is not flow
-                    for f in self._flows.values()):
+            if not self._other_flow_busy(flow_key, now):
                 # Uncontended: exactly the legacy exclusive-reservation
                 # arithmetic, against this flow's own cursor.
                 start = max(now, flow.cursor)
                 finish = start + tx
                 flow.cursor = finish
+                self._busy[flow_key] = flow
                 if lost:
                     return None, True
                 arrival = finish + self.latency_ms + jitter
@@ -456,10 +464,21 @@ class Link:
         uncontended fast path."""
         if self._contended or self.jitter_ms > 0 or self.loss_rate > 0:
             return False
-        for f in self._flows.values():
-            if f.key != flow_key and f.cursor > now + self._EPS:
-                return False
-        return True
+        return not self._other_flow_busy(flow_key, now)
+
+    def _other_flow_busy(self, flow_key: Tuple[str, str], now: float) -> bool:
+        """True while a bulk flow other than ``flow_key`` still has bytes
+        to serialize at ``now``; drops the idle flows it meets from the
+        busy index."""
+        horizon = now + self._EPS
+        busy = self._busy
+        for key, flow in list(busy.items()):
+            if flow.cursor > horizon:
+                if key != flow_key:
+                    return True
+            else:
+                del busy[key]
+        return False
 
     def book_bulk_window(self, loop: EventLoop, now: float,
                          flow_key: Tuple[str, str], entries, complete
@@ -503,6 +522,7 @@ class Link:
             jobs.append(job)
         flow.cursor = cursor
         flow.last_arrival = last_arrival
+        self._busy[flow_key] = flow
         batch = _BulkBatch(flow, jobs, complete)
         batch.timer = loop.call_at(last_arrival, self._complete_batch, batch)
         self._batches.append(batch)
@@ -688,6 +708,7 @@ class Link:
                     aborted.append(job)
             flow.jobs.clear()
             flow.cursor = 0.0
+        self._busy.clear()
         for job in self._latency_flight:
             if job.timer is not None and job.timer.active:
                 job.timer.cancel()
@@ -740,10 +761,13 @@ class Network:
         self._adjacency: Dict[str, List[Link]] = {}
         self._forward_delay: Dict[str, float] = {}
         self._msg_ids = itertools.count(1)
-        # (source, destination) -> hop path.  Per-chunk sends would
-        # otherwise pay the O(V+E) BFS on every message; the cache is
-        # cleared whenever topology or host connectivity changes.
+        # (source, destination) -> hop path, built from the per-source
+        # BFS trees below (source -> {host: parent on its hop-minimal
+        # path}).  Per-chunk sends would otherwise pay a BFS per message;
+        # both caches are cleared whenever topology or host connectivity
+        # changes.
         self._route_cache: Dict[Tuple[str, str], List[str]] = {}
+        self._route_trees: Dict[str, Dict[str, Optional[str]]] = {}
         self.route_cache_hits = 0
         self.route_cache_misses = 0
         self.messages_dropped = 0
@@ -761,11 +785,13 @@ class Network:
         #: Carried+dropped totals of links since removed by disconnect(),
         #: so the link-level reconciliation survives topology changes.
         self.retired_link_bytes = 0
-        # In-flight transfers per link: (timer, receipt, on_dropped) tuples,
-        # so a hard link cut (disconnect(drop_in_flight=True)) can cancel
-        # the pending deliveries and fail their receipts.
-        self._in_flight: Dict[Link, List[Tuple[Any, DeliveryReceipt,
-                                               Optional[Callable]]]] = {}
+        # Pending control hops per link, insertion-ordered: message id ->
+        # (timer, receipt, on_dropped).  A hop leaves the index when its
+        # delivery/forward event fires, so a hard link cut
+        # (disconnect(drop_in_flight=True)) finds exactly the deliveries
+        # it must cancel and the receipts it must fail.
+        self._in_flight: Dict[Link, Dict[int, Tuple[Any, DeliveryReceipt,
+                                                    Optional[Callable]]]] = {}
         # O(1) link lookup by (endpoint, endpoint); maintained by
         # connect()/disconnect().  link_between() used to scan the
         # adjacency list, which is a per-hop cost on every send.
@@ -787,8 +813,10 @@ class Network:
         return host
 
     def _invalidate_routes(self) -> None:
-        """Drop every cached route (topology/connectivity changed)."""
+        """Drop every cached route and route tree (topology/connectivity
+        changed)."""
         self._route_cache.clear()
+        self._route_trees.clear()
 
     def create_host(self, name: str, skew_ms: float = 0.0, drift_ppm: float = 0.0,
                     cpu_factor: float = 1.0) -> Host:
@@ -842,16 +870,15 @@ class Network:
         # connect() of the same pair builds a fresh Link: zeroed counters,
         # idle lanes (busy_until == last_arrival == 0).
         self.retired_link_bytes += link.bytes_carried + link.bytes_dropped
-        entries = self._in_flight.pop(link, [])
+        entries = self._in_flight.pop(link, {})
         if drop_in_flight:
-            for timer, receipt, on_dropped in entries:
-                if timer.active:
-                    timer.cancel()
-                    # The cancelled timer was this message's off-wire event
-                    # (delivery or next-hop forward), so settle the ledger
-                    # here: the bytes left the wire by being destroyed.
-                    self.bytes_off_wire += receipt.message.size_bytes
-                    self._drop(receipt, on_dropped)
+            for timer, receipt, on_dropped in entries.values():
+                timer.cancel()
+                # The cancelled timer was this message's off-wire event
+                # (delivery or next-hop forward), so settle the ledger
+                # here: the bytes left the wire by being destroyed.
+                self.bytes_off_wire += receipt.message.size_bytes
+                self._drop(receipt, on_dropped)
             for job in link.abort_bulk():
                 # Bulk jobs (queued, serializing or propagating) went
                 # on-wire at enqueue; destroy them and settle likewise.
@@ -894,43 +921,60 @@ class Network:
     def route(self, source: str, destination: str) -> List[str]:
         """Hop-minimal path of host names from source to destination (BFS).
 
-        Offline hosts cannot relay.  Raises UnreachableHostError when no
-        path exists.  Successful routes are cached until the topology or
-        any host's connectivity changes (failures are never cached: the
-        retry path wants a fresh look each time).
+        Offline hosts cannot relay (an offline destination is still
+        reached).  Raises UnreachableHostError when no path exists.
+
+        One breadth-first search per source builds a parent map of every
+        host it reaches, in adjacency order, and each path is read off
+        that tree, so ties between equal-length paths always resolve the
+        same way.  Trees and the paths read from them (counted in
+        ``route_cache_hits`` / ``route_cache_misses``) are cached until
+        the topology or any host's connectivity changes; both are dropped
+        then, so a failure is never served from a stale view -- the retry
+        path gets a fresh look after every change.
         """
         cached = self._route_cache.get((source, destination))
         if cached is not None:
             self.route_cache_hits += 1
             return list(cached)
-        path = self._route_bfs(source, destination)
+        if source not in self._hosts or destination not in self._hosts:
+            raise NetworkError(f"unknown endpoint {source!r} or {destination!r}")
+        parents = self._route_trees.get(source)
+        if parents is None:
+            parents = self._route_trees[source] = self._route_tree(source)
+        if destination not in parents:
+            raise UnreachableHostError(
+                f"no route from {source!r} to {destination!r}")
+        path = [destination]
+        hop = parents[destination]
+        while hop is not None:
+            path.append(hop)
+            hop = parents[hop]
+        path.reverse()
         self._route_cache[(source, destination)] = path
         self.route_cache_misses += 1
         return list(path)
 
-    def _route_bfs(self, source: str, destination: str) -> List[str]:
-        if source not in self._hosts or destination not in self._hosts:
-            raise NetworkError(f"unknown endpoint {source!r} or {destination!r}")
-        if source == destination:
-            return [source]
-        visited = {source}
-        frontier: List[List[str]] = [[source]]
+    def _route_tree(self, source: str) -> Dict[str, Optional[str]]:
+        """BFS from ``source``: every reachable host -> its parent.
+
+        The first host to discover a node becomes its parent.  Offline
+        hosts are recorded (they may be a destination) but never expanded.
+        """
+        hosts = self._hosts
+        adjacency = self._adjacency
+        parents: Dict[str, Optional[str]] = {source: None}
+        frontier = deque((source,))
         while frontier:
-            next_frontier: List[List[str]] = []
-            for path in frontier:
-                tail = path[-1]
-                for link in self._adjacency[tail]:
-                    nxt = link.b if link.a == tail else link.a
-                    if nxt in visited:
-                        continue
-                    if nxt == destination:
-                        return path + [nxt]
-                    if not self._hosts[nxt].online:
-                        continue
-                    visited.add(nxt)
-                    next_frontier.append(path + [nxt])
-            frontier = next_frontier
-        raise UnreachableHostError(f"no route from {source!r} to {destination!r}")
+            here = frontier.popleft()
+            for link in adjacency[here]:
+                nxt = link.b if link.a == here else link.a
+                if nxt in parents:
+                    continue
+                parents[nxt] = here
+                if hosts[nxt].online:
+                    frontier.append(nxt)
+        return parents
 
     # -- sending ----------------------------------------------------------
 
@@ -1000,6 +1044,8 @@ class Network:
         flow_key = (source, destination)
         if not link.bulk_window_eligible(flow_key, now):
             return None
+        # The first chunk's wait, read before booking moves the cursor.
+        queue_ms = link.bulk_queue_ms(flow_key, now)
         receipts: List[DeliveryReceipt] = []
         entries = []
         deliver_cbs = []
@@ -1022,7 +1068,6 @@ class Network:
             loop, now, flow_key, entries,
             lambda jobs: self._deliver_batch(jobs, deliver_cbs))
         obs = loop.observability
-        queue_ms = link.bulk_queue_ms(flow_key, now)
         for job, receipt in zip(jobs, receipts):
             receipt.hops = 1
             src.bytes_sent += job.size_bytes
@@ -1165,7 +1210,10 @@ class Network:
 
     def _forward(self, receipt: DeliveryReceipt, path: List[str], hop_index: int,
                  on_delivered: Optional[Callable[[DeliveryReceipt], None]],
-                 on_dropped: Optional[Callable[[DeliveryReceipt], None]]) -> None:
+                 on_dropped: Optional[Callable[[DeliveryReceipt], None]],
+                 via: Optional[Link] = None) -> None:
+        if via is not None:
+            self._land(via, receipt)
         here, there = path[hop_index], path[hop_index + 1]
         if hop_index > 0:
             # Arrived at a relay: the previous hop's bytes are off the wire
@@ -1203,17 +1251,29 @@ class Network:
             return
         receipt.hops += 1
         self.bytes_on_wire += receipt.message.size_bytes
+        # ``via=link`` lets the fired event take its hop off the index.
         if hop_index + 2 == len(path):
             timer = self.loop.call_at(arrival, self._deliver, receipt,
-                                      on_delivered, on_dropped)
+                                      on_delivered, on_dropped, link)
         else:
             delay = self._forward_delay.get(there, 0.0)
             timer = self.loop.call_at(arrival + delay, self._forward, receipt,
                                       path, hop_index + 1, on_delivered,
-                                      on_dropped)
-        entries = self._in_flight.setdefault(link, [])
-        entries[:] = [e for e in entries if e[0].active]
-        entries.append((timer, receipt, on_dropped))
+                                      on_dropped, link)
+        entries = self._in_flight.get(link)
+        if entries is None:
+            entries = self._in_flight[link] = {}
+        entries[receipt.message.message_id] = (timer, receipt, on_dropped)
+
+    def _land(self, link: Link, receipt: DeliveryReceipt) -> None:
+        """A control hop's delivery/forward event fired: unindex the hop.
+
+        The link's entries are gone if it was disconnected meanwhile (a
+        graceful detach lets its in-flight messages drain).
+        """
+        entries = self._in_flight.get(link)
+        if entries is not None:
+            del entries[receipt.message.message_id]
 
     def _forward_bulk(self, receipt: DeliveryReceipt, link: Link,
                       path: List[str], hop_index: int, here: str, there: str,
@@ -1278,8 +1338,10 @@ class Network:
 
     def _deliver(self, receipt: DeliveryReceipt,
                  on_delivered: Optional[Callable[[DeliveryReceipt], None]],
-                 on_dropped: Optional[Callable[[DeliveryReceipt], None]] = None
-                 ) -> None:
+                 on_dropped: Optional[Callable[[DeliveryReceipt], None]] = None,
+                 via: Optional[Link] = None) -> None:
+        if via is not None:
+            self._land(via, receipt)
         dst = self._hosts[receipt.message.destination]
         if receipt.hops:
             # Came in over a link (hops == 0 means local delivery).

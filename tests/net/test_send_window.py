@@ -168,3 +168,27 @@ def test_offline_destination_raises_like_send():
     net.host("h2").online = False
     with pytest.raises(HostOfflineError):
         net.send_window("h1", "h2", "test.bulk", chunks(2))
+
+
+def test_window_queue_telemetry_matches_per_chunk_send():
+    """``net.link.queue_ms`` records each chunk's wait behind the round's
+    earlier chunks, read before the round is booked: four 10 kB chunks on
+    an 8 Mb/s link wait 0, 10, 20 and 30 ms either way."""
+    from repro.obs import Observability
+
+    def queue_series(windowed):
+        obs = Observability()
+        loop, net = make_pair(bandwidth=8.0)
+        obs.attach(loop)
+        if windowed:
+            assert net.send_window("h1", "h2", "test.bulk",
+                                   chunks(4, size=10_000)) is not None
+        else:
+            for i in range(4):
+                net.send("h1", "h2", "test.bulk", f"chunk-{i}", 10_000)
+        loop.run_until_idle()
+        return obs.metrics.histogram("net.link.queue_ms",
+                                     link="h1<->h2").values
+
+    assert queue_series(windowed=True) == queue_series(windowed=False) \
+        == pytest.approx([0.0, 10.0, 20.0, 30.0])
