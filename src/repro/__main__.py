@@ -150,7 +150,7 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.bench.harness import MigrationExperiment
     from repro.bench.reporting import format_comparison_table, format_phase_table
-    from repro.bench.workloads import PAPER_FILE_SIZES_MB
+    from repro.city.params import PAPER_FILE_SIZES_MB
     from repro.core import BindingPolicy
 
     obs = _make_obs(args)

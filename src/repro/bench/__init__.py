@@ -4,11 +4,12 @@
   experiment runner.
 - :mod:`repro.bench.scale` -- concurrent-migration and multi-space scale
   benchmarks for the fair-share link model.
-- :mod:`repro.bench.workloads` -- the paper's file-size sweep and scenario
-  parameters.
 - :mod:`repro.bench.trajectory` -- standing scenarios emitting the
   schema-versioned ``BENCH_*.json`` perf-trajectory snapshots.
 - :mod:`repro.bench.reporting` -- figure-style series tables.
+
+The paper's sweep constants (``PAPER_FILE_SIZES_MB``, ``mb``) are
+re-exported from :mod:`repro.city.params`.
 """
 
 from repro.bench.harness import (
@@ -36,7 +37,7 @@ from repro.bench.trajectory import (
     run_bench,
     write_bench,
 )
-from repro.bench.workloads import PAPER_FILE_SIZES_MB, mb
+from repro.city.params import PAPER_FILE_SIZES_MB, mb
 
 __all__ = [
     "BENCH_FORMAT",

@@ -1,9 +1,8 @@
 """Workload parameters: the paper's sweep constants and the city tiers.
 
-This module absorbs the old ``repro.bench.workloads`` stub (which
-``repro.bench.workloads`` now re-exports for backward compatibility) and
-adds the scale tiers of the city generator -- the knob the roadmap's
-"million commuters" arc turns.
+The paper's sweep constants (file sizes, bandwidths, clone fan-outs,
+:func:`mb`) live here beside the scale tiers of the city generator --
+the knob the roadmap's "million commuters" arc turns.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ class MigrationError(MiddlewareError):
 
 
 class PipelineError(MiddlewareError):
-    """A middleware stack failed validation (mis-ordered, incomplete...)."""
+    """A middleware stack cannot be built (e.g. an unknown migration
+    protocol)."""
 
 
 class AdaptationError(MiddlewareError):

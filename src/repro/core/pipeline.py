@@ -1,14 +1,16 @@
-"""Explicit middleware pipeline: ordered phases with declared contracts.
+"""Explicit middleware pipeline: the migration as ordered phases.
 
 ROADMAP item 4 calls for restructuring the monolithic middleware as an
 explicit middleware stack so heterogeneous platforms can exchange agents.
 This module is that stack: admission, planning, capability negotiation,
 suspend, state capture, transfer, check-in, binding re-establishment and
-power-up are separate :class:`MiddlewarePhase` objects with declared
-``requires``/``provides`` contracts over a shared
-:class:`MigrationContext`, and :func:`validate_middleware_stack` rejects
-mis-ordered or incomplete stacks when the pipeline is *built* -- at
-deployment construction time, not when the first migration runs.
+power-up are separate :class:`MiddlewarePhase` objects that carry one
+migration's state on a shared :class:`MigrationContext`.  There are two
+fixed migration stacks ("direct" and "fipa", built by
+:func:`migration_phases`) and one pre-staging stack.  Each has exactly
+one hand-off phase, ``transfer``: the phases up to it run at the source,
+the phases after it at the destination.  The shape of the shipped stacks
+is pinned by a test, not checked at run time.
 
 The default ("direct") stack reproduces the classic monolithic behaviour
 event-for-event: phase hand-offs reuse the exact timer callbacks the
@@ -27,23 +29,15 @@ Failure handling is uniform: when any phase fails, the context rolls the
 migration back through every phase already passed (newest first), each
 phase undoing only what it did -- resume a suspended source, delete an
 arrived mobile agent, uninstall a half-installed destination copy,
-restore and restart the source instance.
+restore and restart the source instance.  Rollback is best-effort: a
+rollback that raises is recorded on the outcome log and the chain goes
+on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.application import Application, AppStatus
 from repro.core.binding import BindingPolicy, MigrationKind, MigrationPlan
@@ -56,41 +50,17 @@ from repro.core.mobility import end_outcome_spans, plan_from_dict, plan_to_dict
 CAPABILITY_PROTOCOL = "md-capability"
 
 
-# -- contracts --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MiddlewareContract:
-    """What one phase consumes and produces on the migration context.
-
-    ``site`` declares which middleware runs the phase: ``"source"``
-    phases execute where the application currently lives, and
-    ``"destination"`` phases execute after the mobile agent's hand-off.
-    """
-
-    requires: FrozenSet[str] = frozenset()
-    provides: FrozenSet[str] = frozenset()
-    site: str = "source"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "requires", frozenset(self.requires))
-        object.__setattr__(self, "provides", frozenset(self.provides))
-        if self.site not in ("source", "destination"):
-            raise PipelineError(f"unknown contract site {self.site!r}")
-
-
 class MiddlewarePhase:
     """One named concern in a migration pipeline.
 
-    Subclasses set :attr:`name`, :attr:`contract` and implement
-    :meth:`run`.  A phase either calls ``ctx.complete_phase()`` before
-    returning (synchronous completion) or schedules work that calls it
-    later; exceptions raised from :meth:`run` fail the migration through
-    ``ctx.fail`` with :meth:`describe_error`'s rendering.
+    Subclasses set :attr:`name` and implement :meth:`run`.  A phase
+    either calls ``ctx.complete_phase()`` before returning (synchronous
+    completion) or schedules work that calls it later; exceptions raised
+    from :meth:`run` fail the migration through ``ctx.fail`` with
+    :meth:`describe_error`'s rendering.
     """
 
     name: str = "phase"
-    contract: MiddlewareContract = MiddlewareContract()
     #: The hand-off phase: the last source-site phase, whose completion
     #: is signalled by the mobile agent's arrival at the destination.
     handoff: bool = False
@@ -109,91 +79,12 @@ class MiddlewarePhase:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-@dataclass
-class ValidationResult:
-    """Outcome of :func:`validate_middleware_stack`."""
-
-    ok: bool
-    errors: List[str] = field(default_factory=list)
-    provided: FrozenSet[str] = frozenset()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_middleware_stack(
-        phases: Sequence[MiddlewarePhase],
-        initial_keys: Iterable[str] = ("request",),
-        required_final: Iterable[str] = ("resumed",)) -> ValidationResult:
-    """Statically check a stack's ordering and completeness.
-
-    Rejects: empty stacks, duplicate phase names, a phase whose
-    ``requires`` is not covered by the initial keys plus every earlier
-    phase's ``provides`` (the mis-ordering case), re-provided keys, a
-    source-site phase after a destination-site one, anything but exactly
-    one hand-off phase (which must be the last source-site phase), and a
-    stack whose final key set misses ``required_final``.
-    """
-    errors: List[str] = []
-    available = set(initial_keys)
-    if not phases:
-        errors.append("middleware stack is empty")
-    seen_names: set = set()
-    seen_destination = False
-    handoffs = [p for p in phases if p.handoff]
-    for index, phase in enumerate(phases):
-        if phase.name in seen_names:
-            errors.append(f"duplicate phase name {phase.name!r}")
-        seen_names.add(phase.name)
-        contract = phase.contract
-        missing = sorted(contract.requires - available)
-        if missing:
-            errors.append(
-                f"phase {phase.name!r} (position {index}) requires "
-                f"{missing} but no earlier phase provides them "
-                f"(available: {sorted(available)})")
-        re_provided = sorted(contract.provides & available)
-        if re_provided:
-            errors.append(f"phase {phase.name!r} re-provides {re_provided}")
-        if contract.site == "destination":
-            seen_destination = True
-        elif seen_destination:
-            errors.append(
-                f"source-site phase {phase.name!r} appears after a "
-                f"destination-site phase")
-        if phase.handoff and contract.site != "source":
-            errors.append(f"hand-off phase {phase.name!r} must be "
-                          f"source-site")
-        available |= contract.provides
-    if len(handoffs) != 1:
-        errors.append(f"stack needs exactly one hand-off phase, found "
-                      f"{len(handoffs)}")
-    else:
-        handoff_index = phases.index(handoffs[0])
-        for later in phases[handoff_index + 1:]:
-            if later.contract.site != "destination":
-                errors.append(
-                    f"phase {later.name!r} after the hand-off must be "
-                    f"destination-site")
-        for earlier in phases[:handoff_index]:
-            if earlier.contract.site != "source":
-                errors.append(
-                    f"destination-site phase {earlier.name!r} appears "
-                    f"before the hand-off")
-    missing_final = sorted(set(required_final) - available)
-    if missing_final:
-        errors.append(f"stack never provides {missing_final} -- incomplete "
-                      f"pipeline")
-    return ValidationResult(ok=not errors, errors=errors,
-                            provided=frozenset(available))
-
-
 # -- context ----------------------------------------------------------------
 
 
 @dataclass
 class MigrationRequest:
-    """What the caller asked for (the pipeline's initial context key)."""
+    """What the caller asked for."""
 
     app_name: str
     destination: str
@@ -203,13 +94,7 @@ class MigrationRequest:
 
 
 class MigrationContext:
-    """Typed, shared state one migration carries through its pipeline.
-
-    The contract keys (``request``, ``app``, ``outcome``, ``plan``,
-    ``grant``, ``suspended``, ``snapshot``, ``agent``, ``arrival``,
-    ``bindings``, ``resumed``) name milestones; the concrete data lives
-    in the attributes below.
-    """
+    """Typed, shared state one migration carries through its pipeline."""
 
     def __init__(self, pipeline: "MigrationPipeline",
                  middleware, request: Optional[MigrationRequest],
@@ -233,8 +118,6 @@ class MigrationContext:
         self.dest_app: Optional[Application] = None
         self.dest_installed = False
         self.snapshot_data: Optional[Dict[str, Any]] = None
-        #: Keys provided so far (contract milestones, for introspection).
-        self.keys: set = set(pipeline.initial_keys)
         #: Test seam: phase names after which a failure is injected.
         self.failpoints = frozenset(failpoints)
         self.finished = False
@@ -260,9 +143,6 @@ class MigrationContext:
     def observability(self):
         return self.loop.observability
 
-    def phase_names(self) -> List[str]:
-        return [p.name for p in self.pipeline.phases]
-
     # -- progression -------------------------------------------------------
 
     def complete_phase(self) -> None:
@@ -271,7 +151,6 @@ class MigrationContext:
             return
         phase = self.pipeline.phases[self._index]
         self._completed.append(phase)
-        self.keys |= phase.contract.provides
         self._index += 1
         if self._index >= len(self.pipeline.phases):
             self.finished = True
@@ -301,6 +180,8 @@ class MigrationContext:
         """Fail the migration: record the reason, roll back every phase
         passed so far (newest first), then finish the outcome.
 
+        Rollback is best-effort: a phase whose rollback raises is named
+        on the outcome log and the rest of the chain still runs.
         ``before_finish`` runs after the rollback chain but before the
         outcome's completion callbacks fire -- the transfer phase uses it
         to keep the classic failure-counter ordering.
@@ -323,8 +204,10 @@ class MigrationContext:
         for phase in chain:
             try:
                 phase.rollback(self)
-            except Exception:  # pragma: no cover - rollback best-effort
-                pass
+            except Exception as exc:
+                if outcome is not None:
+                    outcome.log(f"rollback of phase {phase.name!r} "
+                                f"raised: {exc}")
         if before_finish is not None:
             before_finish()
         if outcome is not None:
@@ -332,43 +215,27 @@ class MigrationContext:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<MigrationContext {self.pipeline.name} "
-                f"phase={self._index}/{len(self.pipeline.phases)} "
-                f"keys={sorted(self.keys)}>")
+                f"phase={self._index}/{len(self.pipeline.phases)}>")
 
 
 # -- driver -----------------------------------------------------------------
 
 
 class MigrationPipeline:
-    """An ordered, validated middleware stack plus its trampoline driver.
+    """An ordered middleware stack plus its trampoline driver.
 
     ``observe=True`` wraps every phase entry in a ``pipeline.phase`` span
     and counter (used by the FIPA stack); the default stack leaves it off
     so the pinned digests stay untouched.
     """
 
-    def __init__(self, name: str, phases: Sequence[MiddlewarePhase],
-                 initial_keys: Iterable[str] = ("request",),
-                 required_final: Iterable[str] = ("resumed",),
+    def __init__(self, name: str, phases: Iterable[MiddlewarePhase],
                  observe: bool = False):
-        result = validate_middleware_stack(phases, initial_keys,
-                                           required_final)
-        if not result.ok:
-            raise PipelineError(
-                f"invalid middleware stack {name!r}: "
-                + "; ".join(result.errors))
         self.name = name
         self.phases: List[MiddlewarePhase] = list(phases)
-        self.initial_keys = tuple(initial_keys)
         self.observe = observe
         self._handoff_index = next(
             i for i, p in enumerate(self.phases) if p.handoff)
-
-    def phase(self, name: str) -> MiddlewarePhase:
-        for phase in self.phases:
-            if phase.name == name:
-                return phase
-        raise PipelineError(f"no phase {name!r} in pipeline {self.name!r}")
 
     def start(self, ctx: MigrationContext) -> MigrationContext:
         self._advance(ctx)
@@ -434,13 +301,105 @@ class MigrationPipeline:
         ctx.plan = plan_from_dict(ma.plan)
         ctx._index = self._handoff_index
         ctx._entered = self.phases[self._handoff_index]
-        for phase in self.phases[:self._handoff_index]:
-            ctx.keys |= phase.contract.provides
         return ctx
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<MigrationPipeline {self.name!r} "
                 f"{[p.name for p in self.phases]}>")
+
+
+# -- shared phase steps -----------------------------------------------------
+# Called by the phases of both stacks.  Every phase keeps its own ``run``
+# (per-phase profiling wraps ``run`` by phase name), so what the stacks
+# share lives here rather than in an inherited ``run``.
+
+
+def _check_destination(middleware, destination: str,
+                       same_host_error: str) -> None:
+    """Reject a move to the current host or to a host the network does
+    not know."""
+    if destination == middleware.host_name:
+        raise MigrationError(same_host_error)
+    if not middleware.network.has_host(destination):
+        raise MigrationError(f"unknown destination host {destination!r}")
+
+
+def _admit(ctx: MigrationContext, app: Application,
+           provisional: MigrationPlan) -> None:
+    """Mint the outcome and its deployment token."""
+    deployment = ctx.middleware.deployment
+    outcome = MigrationOutcome(provisional)
+    token = deployment.new_outcome_token(ctx.request.app_name)
+    deployment.outcomes[token] = outcome
+    outcome._pipeline_ctx = ctx  # type: ignore[attr-defined]
+    ctx.app = app
+    ctx.outcome = outcome
+    ctx.token = token
+
+
+def _ship(ctx: MigrationContext, prefix: str, manifest: Dict[str, Any],
+          snapshot: Dict[str, Any]):
+    """Load a courier agent with the cargo and move it to the plan's
+    destination; returns the move's result."""
+    middleware = ctx.middleware
+    plan = ctx.plan
+    ma_name = (f"{prefix}-{plan.app_name}-"
+               f"{next(middleware.mobility_manager._ma_seq)}")
+    ma = middleware.container.create_agent(MDMobileAgent, ma_name)
+    ma.load_cargo(manifest, snapshot, plan_to_dict(plan))
+    ctx.ma = ma
+    result = ma.do_move(plan.destination)
+    ctx.outcome.bytes_transferred = result.size_bytes
+    return result
+
+
+def _delete_arrived_courier(ctx: MigrationContext) -> None:
+    """Transfer rollback: a courier that made it across before a later
+    phase failed is cleaned out of the destination container."""
+    if ctx.ma is not None and ctx.ma_arrived:
+        ctx.ma.do_delete()
+
+
+def _check_in(ctx: MigrationContext) -> None:
+    """Stamp the agent's arrival (ending the migrate span, if one is
+    open), then install the carried app or merge its components into the
+    copy already here."""
+    middleware = ctx.destination_middleware
+    ma = ctx.ma
+    outcome = ctx.outcome
+    plan = ctx.arrived_plan
+    now = middleware.loop.now
+    if outcome is not None:
+        outcome.migrate_done_at = now
+        outcome.log(f"mobile agent {ma.local_name} checked in at "
+                    f"{now:.1f}")
+        phase = getattr(outcome, "_obs_phase", None)
+        if phase is not None and not phase.finished:
+            # The migrate phase ends here, on the destination's clock.
+            phase.end(host=middleware.host)
+            outcome._obs_phase = outcome._obs_root.child(
+                "resume", host=middleware.host, app=plan.app_name)
+    app = middleware.applications.get(plan.app_name)
+    if app is None:
+        app = Application.from_manifest(ma.manifest)
+        middleware.install_application(app, register=True)
+        ctx.dest_installed = True
+    else:
+        merged = app.merge_components(ma.manifest)
+        if outcome is not None and merged:
+            outcome.log(f"merged carried components: {merged}")
+    ctx.dest_app = app
+
+
+class _ArrivalPhase(MiddlewarePhase):
+    """Base of the two destination check-ins (``checkin``, ``install``):
+    an exception there is an unwrap failure at the destination."""
+
+    def describe_error(self, ctx: MigrationContext,
+                       exc: BaseException) -> str:
+        host = ctx.destination_middleware.host_name \
+            if ctx.destination_middleware is not None else "?"
+        return f"unwrap failed at {host}: {exc}"
 
 
 # -- migration phases -------------------------------------------------------
@@ -450,8 +409,6 @@ class AdmissionPhase(MiddlewarePhase):
     """Validate the request, arm chaos, mint the outcome and its token."""
 
     name = "admission"
-    contract = MiddlewareContract(requires=frozenset({"request"}),
-                                  provides=frozenset({"app", "outcome"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -459,22 +416,12 @@ class AdmissionPhase(MiddlewarePhase):
         app = middleware.application(request.app_name)
         if app.status is not AppStatus.RUNNING:
             raise MigrationError(f"{request.app_name!r} is not running")
-        if request.destination == middleware.host_name:
-            raise MigrationError("destination equals current host")
-        if not middleware.network.has_host(request.destination):
-            raise MigrationError(
-                f"unknown destination host {request.destination!r}")
+        _check_destination(middleware, request.destination,
+                           "destination equals current host")
         middleware.deployment._arm_chaos("first-migration")
-        provisional = MigrationPlan(request.app_name, middleware.host_name,
-                                    request.destination, request.kind,
-                                    request.policy)
-        outcome = MigrationOutcome(provisional)
-        token = middleware.deployment.new_outcome_token(request.app_name)
-        middleware.deployment.outcomes[token] = outcome
-        outcome._pipeline_ctx = ctx  # type: ignore[attr-defined]
-        ctx.app = app
-        ctx.outcome = outcome
-        ctx.token = token
+        _admit(ctx, app, MigrationPlan(
+            request.app_name, middleware.host_name, request.destination,
+            request.kind, request.policy))
         ctx.complete_phase()
 
 
@@ -484,8 +431,6 @@ class PlanningPhase(MiddlewarePhase):
     phase begins, matching the paper's measurement window."""
 
     name = "planning"
-    contract = MiddlewareContract(requires=frozenset({"app", "outcome"}),
-                                  provides=frozenset({"plan"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -533,8 +478,6 @@ class DirectNegotiationPhase(MiddlewarePhase):
     events, no messages, no digest drift."""
 
     name = "negotiation"
-    contract = MiddlewareContract(requires=frozenset({"plan"}),
-                                  provides=frozenset({"grant"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -557,8 +500,6 @@ class FipaNegotiationPhase(MiddlewarePhase):
     """
 
     name = "negotiation"
-    contract = MiddlewareContract(requires=frozenset({"plan"}),
-                                  provides=frozenset({"grant"}))
 
     def run(self, ctx: MigrationContext) -> None:
         from repro.agents.protocols import ProposeInitiator
@@ -609,8 +550,6 @@ class SuspendPhase(MiddlewarePhase):
     root span live here."""
 
     name = "suspend"
-    contract = MiddlewareContract(requires=frozenset({"plan", "grant"}),
-                                  provides=frozenset({"suspended"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -673,8 +612,6 @@ class CapturePhase(MiddlewarePhase):
     monolith's timer target, kept for trace identity)."""
 
     name = "capture"
-    contract = MiddlewareContract(requires=frozenset({"suspended"}),
-                                  provides=frozenset({"snapshot"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -703,8 +640,6 @@ class TransferPhase(MiddlewarePhase):
     a transfer failure rolls the source back."""
 
     name = "transfer"
-    contract = MiddlewareContract(requires=frozenset({"snapshot"}),
-                                  provides=frozenset({"agent"}))
     handoff = True
 
     def run(self, ctx: MigrationContext) -> None:
@@ -750,12 +685,7 @@ class TransferPhase(MiddlewarePhase):
             if app.has_component(rebind.binding_name):
                 manifest["components"].append(
                     app.component(rebind.binding_name).to_dict())
-        ma_name = f"ma-{plan.app_name}-{next(manager._ma_seq)}"
-        ma = middleware.container.create_agent(MDMobileAgent, ma_name)
-        ma.load_cargo(manifest, snapshot.to_dict(), plan_to_dict(plan))
-        ctx.ma = ma
-        result = ma.do_move(plan.destination)
-        outcome.bytes_transferred = result.size_bytes
+        result = _ship(ctx, "ma", manifest, snapshot.to_dict())
         outcome.depart_local = 0.0  # filled when checkout completes
 
         def on_moved(r):
@@ -780,10 +710,7 @@ class TransferPhase(MiddlewarePhase):
             outcome.log(f"source instance of {app.name} stopped")
 
     def rollback(self, ctx: MigrationContext) -> None:
-        if ctx.ma is not None and ctx.ma_arrived:
-            # The agent made it across but the destination failed to power
-            # the app up: clean the courier out of the destination container.
-            ctx.ma.do_delete()
+        _delete_arrived_courier(ctx)
         middleware = ctx.middleware
         if middleware is None:
             return
@@ -793,49 +720,22 @@ class TransferPhase(MiddlewarePhase):
                                                   ctx.outcome)
 
 
-class CheckinPhase(MiddlewarePhase):
+class CheckinPhase(_ArrivalPhase):
     """Destination check-in: stamp the migrate phase, unwrap the cargo,
     install or merge components, and pay the restore cost (completion
     continues in ``MobilityManager._rebind_and_open``)."""
 
     name = "checkin"
-    contract = MiddlewareContract(requires=frozenset({"agent"}),
-                                  provides=frozenset({"arrival"}),
-                                  site="destination")
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.destination_middleware
         manager = middleware.mobility_manager
-        ma = ctx.ma
-        outcome = ctx.outcome
         plan = ctx.arrived_plan
-        manifest = ma.manifest
-        snapshot_data = ma.snapshot
-        now = manager.loop.now
-        if outcome is not None:
-            outcome.migrate_done_at = now
-            outcome.log(f"mobile agent {ma.local_name} checked in at "
-                        f"{now:.1f}")
-            phase = getattr(outcome, "_obs_phase", None)
-            if phase is not None and not phase.finished:
-                # The migrate phase ends here, on the destination's clock.
-                phase.end(host=middleware.host)
-                outcome._obs_phase = outcome._obs_root.child(
-                    "resume", host=middleware.host, app=plan.app_name)
-        app = middleware.applications.get(plan.app_name)
-        if app is None:
-            app = Application.from_manifest(manifest)
-            middleware.install_application(app, register=True)
-            ctx.dest_installed = True
-        else:
-            merged = app.merge_components(manifest)
-            if outcome is not None and merged:
-                outcome.log(f"merged carried components: {merged}")
-        ctx.dest_app = app
-        ctx.snapshot_data = snapshot_data
+        _check_in(ctx)
+        ctx.snapshot_data = ctx.ma.snapshot
         config = manager.config
         cpu = middleware.host.cpu_factor
-        size_mb = snapshot_data.get("size_bytes", 0) / 1e6
+        size_mb = ctx.snapshot_data.get("size_bytes", 0) / 1e6
         resume_cost = (config.resume_base_ms
                        + config.restore_ms_per_mb * size_mb
                        + config.rebind_ms_per_resource
@@ -852,21 +752,12 @@ class CheckinPhase(MiddlewarePhase):
                 and app.name in middleware.applications:
             middleware.uninstall_application(app.name)
 
-    def describe_error(self, ctx: MigrationContext,
-                       exc: BaseException) -> str:
-        host = ctx.destination_middleware.host_name \
-            if ctx.destination_middleware is not None else "?"
-        return f"unwrap failed at {host}: {exc}"
-
 
 class RebindPhase(MiddlewarePhase):
     """Re-establish resource bindings per the plan and open remote data
     streams ("played remotely through URL in the original host")."""
 
     name = "rebind"
-    contract = MiddlewareContract(requires=frozenset({"arrival"}),
-                                  provides=frozenset({"bindings"}),
-                                  site="destination")
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.destination_middleware
@@ -904,9 +795,6 @@ class PowerUpPhase(MiddlewarePhase):
     publish the resumption -- the app is running at the destination."""
 
     name = "powerup"
-    contract = MiddlewareContract(requires=frozenset({"bindings"}),
-                                  provides=frozenset({"resumed"}),
-                                  site="destination")
 
     def run(self, ctx: MigrationContext) -> None:
         from repro.core.snapshot import Snapshot
@@ -971,29 +859,16 @@ class PrestageAdmissionPhase(MiddlewarePhase):
     """Validate a pre-staging request and mint its outcome."""
 
     name = "admission"
-    contract = MiddlewareContract(requires=frozenset({"request"}),
-                                  provides=frozenset({"app", "outcome"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
         request = ctx.request
         app = middleware.application(request.app_name)
-        if request.destination == middleware.host_name:
-            raise MigrationError("cannot prestage to the current host")
-        if not middleware.network.has_host(request.destination):
-            raise MigrationError(
-                f"unknown destination host {request.destination!r}")
-        provisional = MigrationPlan(request.app_name, middleware.host_name,
-                                    request.destination,
-                                    MigrationKind.FOLLOW_ME,
-                                    BindingPolicy.ADAPTIVE, prestage=True)
-        outcome = MigrationOutcome(provisional)
-        token = middleware.deployment.new_outcome_token(request.app_name)
-        middleware.deployment.outcomes[token] = outcome
-        outcome._pipeline_ctx = ctx  # type: ignore[attr-defined]
-        ctx.app = app
-        ctx.outcome = outcome
-        ctx.token = token
+        _check_destination(middleware, request.destination,
+                           "cannot prestage to the current host")
+        _admit(ctx, app, MigrationPlan(
+            request.app_name, middleware.host_name, request.destination,
+            MigrationKind.FOLLOW_ME, BindingPolicy.ADAPTIVE, prestage=True))
         ctx.complete_phase()
 
 
@@ -1002,8 +877,6 @@ class PrestagePlanningPhase(MiddlewarePhase):
     when the destination already holds every component kind."""
 
     name = "planning"
-    contract = MiddlewareContract(requires=frozenset({"app", "outcome"}),
-                                  provides=frozenset({"plan"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -1050,8 +923,6 @@ class PackPhase(MiddlewarePhase):
     continues in ``MobilityManager._send_prestage``)."""
 
     name = "pack"
-    contract = MiddlewareContract(requires=frozenset({"plan"}),
-                                  provides=frozenset({"package"}))
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.middleware
@@ -1074,13 +945,11 @@ class PackPhase(MiddlewarePhase):
 
 
 class PrestageTransferPhase(MiddlewarePhase):
-    """Ship the component package in a mobile agent; the app keeps
-    running at the source untouched (so a transfer failure needs no
-    rollback)."""
+    """Ship the component package in a mobile agent.  The app keeps
+    running at the source untouched, so rollback only has to clean an
+    arrived courier out of the destination container."""
 
     name = "transfer"
-    contract = MiddlewareContract(requires=frozenset({"package"}),
-                                  provides=frozenset({"agent"}))
     handoff = True
 
     def run(self, ctx: MigrationContext) -> None:
@@ -1096,12 +965,7 @@ class PrestageTransferPhase(MiddlewarePhase):
             "taken_at": manager.loop.now, "coordinator_state": {},
             "app_state": {}, "component_versions": {}, "size_bytes": 64,
         }
-        ma_name = f"pre-{plan.app_name}-{next(manager._ma_seq)}"
-        ma = middleware.container.create_agent(MDMobileAgent, ma_name)
-        ma.load_cargo(manifest, empty_snapshot, plan_to_dict(plan))
-        ctx.ma = ma
-        result = ma.do_move(plan.destination)
-        outcome.bytes_transferred = result.size_bytes
+        result = _ship(ctx, "pre", manifest, empty_snapshot)
 
         def on_moved(r):
             if r.failed:
@@ -1110,57 +974,30 @@ class PrestageTransferPhase(MiddlewarePhase):
 
         result.on_complete(on_moved)
 
+    def rollback(self, ctx: MigrationContext) -> None:
+        _delete_arrived_courier(ctx)
 
-class InstallPhase(MiddlewarePhase):
+
+class InstallPhase(_ArrivalPhase):
     """Destination check-in for a prestage package: unwrap, merge the
     components and pay the install cost (completion continues in
     ``MobilityManager._finish_prestage``)."""
 
     name = "install"
-    contract = MiddlewareContract(requires=frozenset({"agent"}),
-                                  provides=frozenset({"arrival"}),
-                                  site="destination")
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.destination_middleware
         manager = middleware.mobility_manager
-        ma = ctx.ma
-        outcome = ctx.outcome
-        plan = ctx.arrived_plan
-        manifest = ma.manifest
-        now = manager.loop.now
-        if outcome is not None:
-            outcome.migrate_done_at = now
-            outcome.log(f"mobile agent {ma.local_name} checked in at "
-                        f"{now:.1f}")
-        app = middleware.applications.get(plan.app_name)
-        if app is None:
-            app = Application.from_manifest(manifest)
-            middleware.install_application(app, register=True)
-            ctx.dest_installed = True
-        else:
-            merged = app.merge_components(manifest)
-            if outcome is not None and merged:
-                outcome.log(f"merged carried components: {merged}")
-        ctx.dest_app = app
+        _check_in(ctx)
         install_cost = (manager.config.clone_snapshot_base_ms
                         * middleware.host.cpu_factor)
         manager.loop.call_later(install_cost, manager._finish_prestage, ctx)
-
-    def describe_error(self, ctx: MigrationContext,
-                       exc: BaseException) -> str:
-        host = ctx.destination_middleware.host_name \
-            if ctx.destination_middleware is not None else "?"
-        return f"unwrap failed at {host}: {exc}"
 
 
 class PrestageFinishPhase(MiddlewarePhase):
     """Register the pre-staged components and close the outcome."""
 
     name = "finish"
-    contract = MiddlewareContract(requires=frozenset({"arrival"}),
-                                  provides=frozenset({"resumed"}),
-                                  site="destination")
 
     def run(self, ctx: MigrationContext) -> None:
         middleware = ctx.destination_middleware
@@ -1186,16 +1023,6 @@ class PrestageFinishPhase(MiddlewarePhase):
 # -- stack builders ---------------------------------------------------------
 
 
-#: The default migration stack's contracts, by phase name (documentation
-#: and introspection surface; the builders below construct the phases).
-MIDDLEWARE_CONTRACTS: Dict[str, MiddlewareContract] = {
-    phase.name: phase.contract
-    for phase in (AdmissionPhase(), PlanningPhase(),
-                  DirectNegotiationPhase(), SuspendPhase(), CapturePhase(),
-                  TransferPhase(), CheckinPhase(), RebindPhase(),
-                  PowerUpPhase())
-}
-
 #: Protocols a middleware config may select.
 MIGRATION_PROTOCOLS = ("direct", "fipa")
 
@@ -1216,7 +1043,7 @@ def migration_phases(protocol: str = "direct"
 
 
 def build_migration_pipeline(config) -> MigrationPipeline:
-    """The migration stack for one middleware config (validated)."""
+    """The migration stack for one middleware config."""
     protocol = getattr(config, "migration_protocol", "direct")
     return MigrationPipeline(
         f"migration/{protocol}", migration_phases(protocol),

@@ -91,5 +91,36 @@ class TestPrestageFailpoints:
         # Pre-staging ships code, not execution: the source app must be
         # untouched no matter where the stack broke.
         assert src.application("player").status is AppStatus.RUNNING
+        # A courier that made it across is cleaned out of the
+        # destination container, whichever phase failed after it landed.
+        couriers = [a.local_name
+                    for a in d.middleware("host2").container.agents
+                    if a.local_name.startswith("pre-")]
+        assert not couriers, (phase, couriers)
         violations = checker.check_quiescent()
         assert not violations, (phase, [str(v) for v in violations])
+
+
+class TestRollbackChain:
+    def test_raising_rollback_is_logged_and_the_chain_goes_on(self):
+        d, src, checker = checked_deployment(0, 120_000)
+        capture = next(p for p in src.migration_pipeline.phases
+                       if p.name == "capture")
+
+        def raising_rollback(ctx):
+            raise RuntimeError("cannot undo")
+
+        capture.rollback = raising_rollback
+        src.pipeline_failpoints = frozenset({"capture"})
+        outcome = src.migrate("player", "host2")
+        d.run_all()
+        assert outcome.failed
+        assert "capture" in outcome.failure_reason
+        assert "rollback of phase 'capture' raised: cannot undo" in \
+            outcome.events, outcome.events
+        # The suspend phase, older than capture, still rolled back: the
+        # source app runs again.
+        assert any(line.startswith("rolled back: resumed player")
+                   for line in outcome.events), outcome.events
+        assert src.application("player").status is AppStatus.RUNNING
+        assert not checker.check_quiescent()
