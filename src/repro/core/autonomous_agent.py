@@ -26,7 +26,7 @@ from repro.core.binding import BindingPolicy, MigrationKind
 from repro.core.rulesets import default_migration_rules
 from repro.ontology.reasoner import Derivation, ForwardChainingReasoner
 from repro.ontology.rules import RuleSet
-from repro.ontology.triples import Graph, Literal
+from repro.ontology.triples import Graph, Literal, Triple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.middleware import MDAgentMiddleware
@@ -76,15 +76,26 @@ class DecisionEngine:
                       Literal(bool(destination_has_components), "xsd:boolean"))
         for src_resource, dest_resource in compatible_resources:
             graph.assert_(src_resource, "imcl:compatible", dest_resource)
+        facts = len(graph)
         reasoner = ForwardChainingReasoner(self.rules, schema=False)
-        inferred = reasoner.run(graph)
-        move_actions = [
-            t for t in inferred.match(None, "imcl:actName", Literal("move"))
-        ]
+        inferred = reasoner.run(graph, in_place=True)
+        move_actions = sorted(
+            t.subject
+            for t in inferred.match(None, "imcl:actName", Literal("move")))
         decision = Decision(move=bool(move_actions), source=source,
-                            destination=destination, facts=len(graph))
+                            destination=destination, facts=facts)
         if move_actions:
-            decision.derivation = reasoner.explain(move_actions[0])
+            # The Move rule cross-joins both address facts, so it derives
+            # an action for every (source, destination) pairing; explain
+            # the one that moves from ``source`` to ``destination``.
+            action = next(
+                (a for a in move_actions
+                 if inferred.holds(a, "imcl:srcAddress", Literal(source))
+                 and inferred.holds(a, "imcl:destAddress",
+                                    Literal(destination))),
+                move_actions[0])
+            decision.derivation = reasoner.explain(
+                Triple(action, "imcl:actName", Literal("move")))
         carry = inferred.value("imcl:dest", "imcl:carryPolicy")
         if carry == Literal("full") or (isinstance(carry, Literal)
                                         and carry.value == "full"):
@@ -108,6 +119,9 @@ class MDAutonomousAgent(Agent):
         self.engine = DecisionEngine()
         self.decisions: List[Decision] = []
         self.migrations_requested = 0
+        #: The MA manager's REFUSE / FAILURE answers to those requests.
+        self.migrations_refused = 0
+        self.migrations_failed = 0
 
     def attach(self, middleware: "MDAgentMiddleware") -> None:
         self.middleware = middleware
@@ -121,6 +135,9 @@ class MDAutonomousAgent(Agent):
         class ContextPump(CyclicBehaviour):
             def action(self):
                 message = agent.receive(performative=Performative.INFORM)
+                # Whatever is left besides the INFORM is consumed here, so
+                # the next INFORM read scans an empty mailbox.
+                agent._take_migration_replies()
                 if message is None:
                     self.block()
                     return
@@ -134,6 +151,19 @@ class MDAutonomousAgent(Agent):
                     agent._on_user_command(content)
 
         self.add_behaviour(ContextPump(name="context-pump"))
+
+    def _take_migration_replies(self) -> None:
+        """Consume the MA manager's answers (AGREE / REFUSE / FAILURE) to
+        this agent's ``md-migration`` REQUESTs, so they do not pile up in
+        the mailbox that every ``receive`` scans."""
+        while self.queue_size:
+            reply = self.receive(protocol="md-migration")
+            if reply is None:
+                return
+            if reply.performative is Performative.REFUSE:
+                self.migrations_refused += 1
+            elif reply.performative is Performative.FAILURE:
+                self.migrations_failed += 1
 
     # -- decision flow ---------------------------------------------------------
 

@@ -15,7 +15,10 @@ parameterizes Rule 3's threshold.
 
 from __future__ import annotations
 
-from repro.ontology.rules import RuleSet, parse_rules
+import functools
+from typing import Tuple
+
+from repro.ontology.rules import Rule, RuleSet, parse_rules
 
 #: The paper's rules exactly as printed (Fig. 6), printer-specific Rule 2.
 PAPER_FIG6_RULES = """
@@ -57,7 +60,14 @@ def default_migration_rules(response_time_threshold_ms: float = 1000.0
       installation, so logic + UI must be wrapped too (the adaptive-binding
       decision of §5).
     """
-    return parse_rules(f"""
+    return RuleSet(_migration_rules(float(response_time_threshold_ms)))
+
+
+@functools.lru_cache(maxsize=None)
+def _migration_rules(response_time_threshold_ms: float) -> Tuple[Rule, ...]:
+    """The parsed (immutable) rules, once per threshold: every autonomous
+    agent gets a fresh :class:`RuleSet` over the same compiled rules."""
+    return tuple(parse_rules(f"""
 [LocTrans: (?p imcl:locatedIn ?q), (?q imcl:locatedIn ?t)
         -> (?p imcl:locatedIn ?t)]
 [Move: (?src imcl:address ?value1), (?dest imcl:address ?value2),
@@ -72,4 +82,4 @@ def default_migration_rules(response_time_threshold_ms: float = 1000.0
 [CarryDelta: (?dest imcl:address ?value2),
              (?dest imcl:hasComponents 'true'^^xsd:boolean)
           -> (?dest imcl:carryPolicy 'delta')]
-""")
+"""))

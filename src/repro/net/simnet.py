@@ -339,9 +339,12 @@ class Link:
         self._fluid_at = 0.0
         self._tick_timer = None
         self._loop: Optional[EventLoop] = None
-        #: Jobs fully serialized but still propagating (latency in flight);
-        #: kept so a hard link cut can cancel their deliveries.
-        self._latency_flight: List[_BulkJob] = []
+        #: Jobs fully serialized but still propagating (latency in flight),
+        #: insertion-ordered by message id, so a hard link cut can cancel
+        #: their deliveries.  A job leaves when its delivery/forward event
+        #: fires (:meth:`land_bulk`), so the index never keeps a delivered
+        #: job (or its receipt) alive.
+        self._latency_flight: Dict[int, _BulkJob] = {}
         #: Analytic window batches in flight (see Network.send_window):
         #: whole uncontended window rounds booked under one kernel timer.
         self._batches: List["_BulkBatch"] = []
@@ -410,7 +413,8 @@ class Link:
         flows contend (``arrival`` is ``None``; ``on_arrival`` fires once
         the time is known).  A lost message is reported synchronously
         (legacy drop timing) but still burns its wire time as a phantom in
-        the flow queue.
+        the flow queue.  The booked event must call :meth:`land_bulk` with
+        ``receipt`` when it fires.
         """
         self._loop = loop
         flow = self._flows.get(flow_key)
@@ -446,8 +450,7 @@ class Link:
                 flow.last_arrival = arrival
                 job.finish_tx = finish
                 job.timer = dispatch(arrival)
-                self._prune_latency_flight()
-                self._latency_flight.append(job)
+                self._fly(job)
                 return arrival, False
             self._begin_contention(now)
         else:
@@ -533,9 +536,16 @@ class Link:
         batch.timer = None
         batch.complete(batch.jobs)
 
-    def _prune_latency_flight(self) -> None:
-        self._latency_flight[:] = [j for j in self._latency_flight
-                                   if j.timer is not None and j.timer.active]
+    def _fly(self, job: _BulkJob) -> None:
+        """Index a job whose delivery/forward event is booked."""
+        self._latency_flight[job.receipt.message.message_id] = job
+
+    def land_bulk(self, receipt) -> None:
+        """A bulk job's delivery/forward event fired: unindex the job.
+
+        It is gone already if a hard cut aborted the link meanwhile.
+        """
+        self._latency_flight.pop(receipt.message.message_id, None)
 
     def _begin_contention(self, now: float) -> None:
         """A second flow joined while the wire was occupied: switch from
@@ -547,18 +557,14 @@ class Link:
         untransmitted remainder, and their booked deliveries cancelled.
         """
         full_rate = self.bandwidth_mbps * 125.0  # bytes per ms
-        still_flying: List[_BulkJob] = []
-        for job in self._latency_flight:
-            if job.timer is None or not job.timer.active:
-                continue
+        flying = self._latency_flight
+        for key, job in list(flying.items()):
             if job.finish_tx > now + self._EPS:
                 job.timer.cancel()
                 job.timer = None
                 job.remaining = (job.finish_tx - now) * full_rate
                 job.flow.jobs.append(job)
-            else:
-                still_flying.append(job)
-        self._latency_flight = still_flying
+                del flying[key]
         for batch in self._batches:
             # Dissolve analytic batches: a shared timer can no longer
             # stand in for per-member deliveries once the wire rate
@@ -576,7 +582,7 @@ class Link:
                 else:
                     when = job.arrival if job.arrival > now else now
                     job.timer = job.dispatch(when)
-                    self._latency_flight.append(job)
+                    self._fly(job)
         self._batches = []
         self._fluid_at = now
         self._contended = True
@@ -621,7 +627,7 @@ class Link:
         job.timer = job.dispatch(arrival)
         if job.on_arrival is not None:
             job.on_arrival(arrival)
-        self._latency_flight.append(job)
+        self._fly(job)
 
     def _bulk_tick(self) -> None:
         now = self._loop.now
@@ -709,11 +715,10 @@ class Link:
             flow.jobs.clear()
             flow.cursor = 0.0
         self._busy.clear()
-        for job in self._latency_flight:
-            if job.timer is not None and job.timer.active:
-                job.timer.cancel()
-                aborted.append(job)
-        self._latency_flight = []
+        for job in self._latency_flight.values():
+            job.timer.cancel()
+            aborted.append(job)
+        self._latency_flight.clear()
         self._contended = False
         return aborted
 
@@ -1059,7 +1064,7 @@ class Network:
                 # Fallback for a batch dissolved by contention: book this
                 # member's delivery individually, like enqueue_bulk would.
                 return loop.call_at(arrival, self._deliver, receipt,
-                                    on_delivered, on_dropped)
+                                    on_delivered, on_dropped, None, link)
 
             entries.append((size, dispatch, receipt, on_dropped))
             deliver_cbs.append(on_delivered)
@@ -1211,9 +1216,12 @@ class Network:
     def _forward(self, receipt: DeliveryReceipt, path: List[str], hop_index: int,
                  on_delivered: Optional[Callable[[DeliveryReceipt], None]],
                  on_dropped: Optional[Callable[[DeliveryReceipt], None]],
-                 via: Optional[Link] = None) -> None:
+                 via: Optional[Link] = None,
+                 bulk_via: Optional[Link] = None) -> None:
         if via is not None:
             self._land(via, receipt)
+        elif bulk_via is not None:
+            bulk_via.land_bulk(receipt)
         here, there = path[hop_index], path[hop_index + 1]
         if hop_index > 0:
             # Arrived at a relay: the previous hop's bytes are off the wire
@@ -1292,10 +1300,13 @@ class Network:
         size = message.size_bytes
         flow_key = (message.source, message.destination)
         queue_ms = link.bulk_queue_ms(flow_key, self.loop.now)
+        # ``bulk_via=link`` lets the fired event take its job off the
+        # link's latency-flight index.
         if hop_index + 2 == len(path):
             def dispatch(arrival: float):
                 return self.loop.call_at(arrival, self._deliver, receipt,
-                                         on_delivered, on_dropped)
+                                         on_delivered, on_dropped, None,
+                                         link)
         else:
             forward_delay = self._forward_delay.get(there, 0.0)
 
@@ -1303,7 +1314,7 @@ class Network:
                 return self.loop.call_at(arrival + forward_delay,
                                          self._forward, receipt, path,
                                          hop_index + 1, on_delivered,
-                                         on_dropped)
+                                         on_dropped, None, link)
         obs = self.loop.observability
         seal: Dict[str, Any] = {}
 
@@ -1339,9 +1350,12 @@ class Network:
     def _deliver(self, receipt: DeliveryReceipt,
                  on_delivered: Optional[Callable[[DeliveryReceipt], None]],
                  on_dropped: Optional[Callable[[DeliveryReceipt], None]] = None,
-                 via: Optional[Link] = None) -> None:
+                 via: Optional[Link] = None,
+                 bulk_via: Optional[Link] = None) -> None:
         if via is not None:
             self._land(via, receipt)
+        elif bulk_via is not None:
+            bulk_via.land_bulk(receipt)
         dst = self._hosts[receipt.message.destination]
         if receipt.hops:
             # Came in over a link (hops == 0 means local delivery).

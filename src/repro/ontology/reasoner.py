@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.ontology.rules import (
+    BUILTIN_REGISTRY,
     Bindings,
     BuiltinCall,
     GRAPH_BUILTINS,
@@ -22,7 +23,7 @@ from repro.ontology.rules import (
     TriplePattern,
 )
 from repro.ontology.schema import SchemaReasoner
-from repro.ontology.triples import Graph, Literal, Triple, is_variable
+from repro.ontology.triples import Graph, Literal, Triple
 
 
 @dataclass(frozen=True)
@@ -41,97 +42,115 @@ class Derivation:
         raise KeyError(variable)
 
 
-def _match_pattern(graph: Graph, pattern: TriplePattern,
-                   bindings: Bindings) -> Iterator[Bindings]:
-    """Yield extended bindings for every triple matching ``pattern``."""
-    bound = pattern.substitute(bindings)
+def _resolve(pattern: TriplePattern, bindings: Bindings):
+    """The graph query for ``pattern`` under ``bindings`` (``None`` for a
+    free position) and its free ``(position, variable)`` slots."""
+    query = []
+    free = []
+    for position, (term, variable) in enumerate(pattern.plan):
+        if variable:
+            value = bindings.get(term)
+            if value is None:
+                free.append((position, term))
+            query.append(value)
+        else:
+            query.append(term)
+    return query, free
 
-    def as_query(term):
-        return None if is_variable(term) else term
 
-    subject = as_query(bound.subject)
-    predicate = as_query(bound.predicate)
-    obj = as_query(bound.object)
+def _match_triples(graph: Graph, pattern: TriplePattern, bindings: Bindings
+                   ) -> Iterator[Tuple[Bindings, Triple]]:
+    """Yield ``(extended bindings, matched triple)`` for every triple
+    matching ``pattern``; a variable repeated in the pattern must take
+    the same value at each of its positions."""
+    (subject, predicate, obj), free = _resolve(pattern, bindings)
     if isinstance(subject, Literal) or isinstance(predicate, Literal):
         return  # a literal can never occupy subject/predicate position
     for triple in graph.match(subject, predicate, obj):
         extended = dict(bindings)
-        consistent = True
-        for term, value in zip(bound.terms(), triple):
-            if is_variable(term):
-                if term in extended and extended[term] != value:
-                    consistent = False
+        if free:
+            values = (triple.subject, triple.predicate, triple.object)
+            for position, variable in free:
+                value = values[position]
+                seen = extended.get(variable)
+                if seen is None:
+                    extended[variable] = value
+                elif seen != value:
                     break
-                extended[term] = value
-        if consistent:
-            yield extended
+            else:
+                yield extended, triple
+        else:
+            yield extended, triple
+
+
+def _match_pattern(graph: Graph, pattern: TriplePattern,
+                   bindings: Bindings) -> Iterator[Bindings]:
+    """Yield extended bindings for every triple matching ``pattern``."""
+    for extended, _triple in _match_triples(graph, pattern, bindings):
+        yield extended
 
 
 def _evaluate_body(graph: Graph, rule: Rule,
                    pivot: Optional[int] = None,
                    delta: Optional[Graph] = None
-                   ) -> Iterator[Tuple[Bindings, Tuple[Triple, ...]]]:
-    """Yield (bindings, supporting triples) for each full body match.
+                   ) -> List[Tuple[Bindings, Tuple[Triple, ...]]]:
+    """Every full body match as (bindings, supporting triples), in join
+    order.
 
-    Triple patterns join in order; each builtin runs as soon as all of its
-    variables are bound, pruning the search early.
+    Triple patterns join in body order along the rule's compiled
+    :attr:`~repro.ontology.rules.Rule.steps`; each functional builtin runs
+    as soon as all of its variables are bound, pruning the search early,
+    and graph builtins (``noValue``) run in body order: variables bound so
+    far constrain the match, the rest are wildcards (Jena's
+    negation-as-failure semantics).  The supports are the matched graph
+    triples themselves.
 
     When ``pivot``/``delta`` are given (semi-naive evaluation), the
     ``pivot``-th *triple pattern* of the body is matched against ``delta``
     (the triples added last round) instead of the full graph, so only rule
     instances that touch new facts are re-derived.
     """
-    clauses = list(rule.body)
-    # Map the pivot (an index into the rule's triple patterns) onto the
-    # corresponding clause index.
-    pivot_clause = -1
-    if pivot is not None:
-        pattern_seen = -1
-        for i, clause in enumerate(clauses):
+    steps = rule.steps
+    pivot_step = -1
+    if pivot is not None and delta is not None:
+        seen = -1
+        for index, (_ready, clause) in enumerate(steps):
             if isinstance(clause, TriplePattern):
-                pattern_seen += 1
-                if pattern_seen == pivot:
-                    pivot_clause = i
+                seen += 1
+                if seen == pivot:
+                    pivot_step = index
                     break
+    matches: List[Tuple[Bindings, Tuple[Triple, ...]]] = []
 
-    def recurse(index: int, bindings: Bindings, supports: Tuple[Triple, ...],
-                pending: List[BuiltinCall]) -> Iterator[Tuple[Bindings, Tuple[Triple, ...]]]:
-        # Run any pending builtin whose variables are now all bound.
-        still_pending: List[BuiltinCall] = []
-        for call in pending:
-            if all(v in bindings for v in call.variables()):
-                if not call.evaluate(bindings, graph=graph):
-                    return
-            else:
-                still_pending.append(call)
-        if index == len(clauses):
-            for call in still_pending:
-                if not call.evaluate(bindings, graph=graph):
-                    return
-            yield bindings, supports
-            return
-        clause = clauses[index]
-        if isinstance(clause, BuiltinCall):
-            if clause.name in GRAPH_BUILTINS:
-                # Graph builtins (noValue) run in body order: variables
-                # bound so far constrain the match, the rest are
-                # wildcards (Jena's negation-as-failure semantics).
-                if not clause.evaluate(bindings, graph=graph):
-                    return
-                yield from recurse(index + 1, bindings, supports,
-                                   still_pending)
+    def extend(index: int, bindings: Bindings,
+               supports: Tuple[Triple, ...]) -> None:
+        ready, clause = steps[index]
+        for call in ready:
+            if not call.evaluate(bindings, graph=graph):
                 return
-            yield from recurse(index + 1, bindings, supports,
-                               still_pending + [clause])
-            return
-        source = delta if index == pivot_clause and delta is not None \
-            else graph
-        for extended in _match_pattern(source, clause, bindings):
-            grounded = clause.to_triple(extended)
-            yield from recurse(index + 1, extended, supports + (grounded,),
-                               still_pending)
+        if clause is None:
+            matches.append((bindings, supports))
+        elif isinstance(clause, BuiltinCall):
+            if clause.evaluate(bindings, graph=graph):
+                extend(index + 1, bindings, supports)
+        else:
+            source = delta if index == pivot_step else graph
+            for extended, triple in _match_triples(source, clause, bindings):
+                extend(index + 1, extended, supports + (triple,))
 
-    yield from recurse(0, {}, (), [])
+    extend(0, {}, ())
+    return matches
+
+
+def _misses(delta: Graph, pattern: TriplePattern) -> bool:
+    """True when ``pattern``, all its variables left free, matches nothing
+    in ``delta``: the pivot can then produce no body match at all."""
+    (subject, predicate, obj), _free = _resolve(pattern, {})
+    if isinstance(subject, Literal) or isinstance(predicate, Literal):
+        return True
+    for _triple in delta.match(subject, predicate, obj):
+        return False
+    return True
 
 
 class ForwardChainingReasoner:
@@ -200,7 +219,7 @@ class ForwardChainingReasoner:
         """Bind the rule's unbound head variables to deterministic fresh
         individuals (stable per body match, so fixpoint iteration is
         idempotent)."""
-        skolems = rule.skolem_variables()
+        skolems = rule._skolems
         if not skolems:
             return bindings
         key = hashlib.md5(
@@ -241,21 +260,25 @@ class ForwardChainingReasoner:
     def _rule_matches(self, graph: Graph, rule: Rule,
                       delta: Optional[Graph]
                       ) -> Iterator[Tuple[Bindings, Tuple[Triple, ...]]]:
-        patterns = rule.patterns
+        patterns = rule._patterns
         naive = (delta is None or not patterns
-                 or any(c.name in GRAPH_BUILTINS for c in rule.builtins))
+                 or any(c.name in GRAPH_BUILTINS for c in rule._builtins))
         if naive:
             yield from _evaluate_body(graph, rule)
             return
         if len(delta) == 0:
             return
+        # Skipping a pivot that cannot match is exact only while no builtin
+        # it would have run can raise (an unknown builtin name does).
+        skippable = all(c.name in BUILTIN_REGISTRY for c in rule._builtins)
         seen = set()
-        for pivot in range(len(patterns)):
+        for pivot, pattern in enumerate(patterns):
+            if skippable and _misses(delta, pattern):
+                continue
             for bindings, supports in _evaluate_body(graph, rule,
                                                      pivot=pivot,
                                                      delta=delta):
-                key = tuple(sorted(bindings.items(),
-                                   key=lambda kv: kv[0]))
+                key = frozenset(bindings.items())
                 if key in seen:
                     continue
                 seen.add(key)

@@ -32,41 +32,54 @@ class RuleParseError(ValueError):
 
 @dataclass(frozen=True)
 class TriplePattern:
-    """A triple where any position may be a ``?variable``."""
+    """A triple where any position may be a ``?variable``.
+
+    ``plan`` is the pattern's join plan, computed once: one
+    ``(term, is_variable)`` slot per position, so a join reads bound
+    values straight from it instead of re-testing every term.
+    """
 
     subject: PatternTerm
     predicate: PatternTerm
     object: PatternTerm
 
+    def __post_init__(self) -> None:
+        slots = tuple((t, is_variable(t)) for t in self.terms())
+        object.__setattr__(self, "plan", slots)
+        object.__setattr__(self, "_variables",
+                           tuple(t for t, var in slots if var))
+
     def terms(self) -> Tuple[PatternTerm, PatternTerm, PatternTerm]:
         return (self.subject, self.predicate, self.object)
 
     def variables(self) -> List[str]:
-        return [t for t in self.terms() if is_variable(t)]
+        return list(self._variables)
 
     def is_ground(self) -> bool:
-        return not self.variables()
+        return not self._variables
 
     def substitute(self, bindings: Bindings) -> "TriplePattern":
         """Replace bound variables; unbound variables stay as-is."""
-
-        def sub(term: PatternTerm) -> PatternTerm:
-            if is_variable(term):
-                return bindings.get(term, term)
-            return term
-
-        return TriplePattern(sub(self.subject), sub(self.predicate), sub(self.object))
+        return TriplePattern(*(bindings.get(t, t) if var else t
+                               for t, var in self.plan))
 
     def to_triple(self, bindings: Optional[Bindings] = None) -> Triple:
         """Ground this pattern into a Triple; raises if variables remain."""
-        grounded = self.substitute(bindings) if bindings else self
-        for term in grounded.terms():
-            if is_variable(term):
-                raise RuleParseError(f"unbound variable {term!r} in {grounded}")
-        subject, predicate = grounded.subject, grounded.predicate
-        if isinstance(subject, Literal) or isinstance(predicate, Literal):
+        if bindings:
+            subject, predicate, obj = (bindings.get(t, t) if var else t
+                                       for t, var in self.plan)
+        else:
+            subject, predicate, obj = self.subject, self.predicate, self.object
+        if is_variable(subject) or is_variable(predicate) \
+                or is_variable(obj) or isinstance(subject, Literal) \
+                or isinstance(predicate, Literal):
+            grounded = TriplePattern(subject, predicate, obj)
+            for term in grounded.terms():
+                if is_variable(term):
+                    raise RuleParseError(
+                        f"unbound variable {term!r} in {grounded}")
             raise RuleParseError(f"literal in subject/predicate of {grounded}")
-        return Triple(subject, predicate, grounded.object)
+        return Triple(subject, predicate, obj)
 
     def __str__(self) -> str:
         return f"({self.subject} {self.predicate} {self.object})"
@@ -138,8 +151,14 @@ class BuiltinCall:
     name: str
     args: Tuple[PatternTerm, ...]
 
+    def __post_init__(self) -> None:
+        slots = tuple((a, is_variable(a)) for a in self.args)
+        object.__setattr__(self, "plan", slots)
+        object.__setattr__(self, "_variables",
+                           tuple(a for a, var in slots if var))
+
     def variables(self) -> List[str]:
-        return [a for a in self.args if is_variable(a)]
+        return list(self._variables)
 
     def evaluate(self, bindings: Bindings,
                  registry: Optional[Dict[str, BuiltinFunction]] = None,
@@ -159,8 +178,8 @@ class BuiltinCall:
         except KeyError:
             raise RuleParseError(f"unknown builtin {self.name!r}") from None
         resolved: List[Term] = []
-        for arg in self.args:
-            if is_variable(arg):
+        for arg, variable in self.plan:
+            if variable:
                 if arg not in bindings:
                     return False
                 resolved.append(bindings[arg])
@@ -221,24 +240,68 @@ class Rule:
     def __post_init__(self) -> None:
         if not self.head:
             raise RuleParseError(f"rule {self.name!r} has an empty head")
+        patterns = tuple(c for c in self.body if isinstance(c, TriplePattern))
+        bound = {v for p in patterns for v in p._variables}
+        skolems: List[str] = []
+        for template in self.head:
+            for var in template._variables:
+                if var not in bound and var not in skolems:
+                    skolems.append(var)
+        setattr_ = object.__setattr__
+        setattr_(self, "_patterns", patterns)
+        setattr_(self, "_builtins",
+                 tuple(c for c in self.body if isinstance(c, BuiltinCall)))
+        setattr_(self, "_skolems", tuple(skolems))
+        setattr_(self, "steps", self._join_steps())
+
+    def _join_steps(self) -> Tuple[Tuple[Tuple[BuiltinCall, ...],
+                                         Optional[BodyClause]], ...]:
+        """The body's join plan: ``(ready, clause)`` per step.
+
+        ``clause`` is a triple pattern to match, a graph builtin
+        (``noValue``) to test in body order, or ``None`` for the end of
+        the body.  ``ready`` lists the functional builtins to run on
+        entering the step: each runs as soon as every variable it reads
+        is bound, which is known statically, since only the patterns
+        before it bind variables.  Builtins whose variables are never all
+        bound run at the end (and fail there, unbound).
+        """
+        bound: set = set()
+        pending: List[BuiltinCall] = []
+        ready: List[BuiltinCall] = []
+        steps = []
+
+        def take_ready() -> None:
+            for call in list(pending):
+                if all(v in bound for v in call._variables):
+                    pending.remove(call)
+                    ready.append(call)
+
+        for clause in self.body:
+            take_ready()
+            if isinstance(clause, BuiltinCall) \
+                    and clause.name not in GRAPH_BUILTINS:
+                pending.append(clause)
+                continue
+            steps.append((tuple(ready), clause))
+            ready.clear()
+            if isinstance(clause, TriplePattern):
+                bound.update(clause._variables)
+        take_ready()
+        steps.append((tuple(ready + pending), None))
+        return tuple(steps)
 
     def skolem_variables(self) -> List[str]:
         """Head variables not bound by any body pattern."""
-        bound = {v for p in self.patterns for v in p.variables()}
-        seen: List[str] = []
-        for template in self.head:
-            for var in template.variables():
-                if var not in bound and var not in seen:
-                    seen.append(var)
-        return seen
+        return list(self._skolems)
 
     @property
     def patterns(self) -> List[TriplePattern]:
-        return [c for c in self.body if isinstance(c, TriplePattern)]
+        return list(self._patterns)
 
     @property
     def builtins(self) -> List[BuiltinCall]:
-        return [c for c in self.body if isinstance(c, BuiltinCall)]
+        return list(self._builtins)
 
     def __str__(self) -> str:
         body = ", ".join(str(c) for c in self.body)

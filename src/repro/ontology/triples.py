@@ -61,9 +61,18 @@ class Triple:
     object: Term
 
     def __post_init__(self) -> None:
-        _check_term(self.subject, "subject", allow_literal=False)
-        _check_term(self.predicate, "predicate", allow_literal=False)
-        _check_term(self.object, "object", allow_literal=True)
+        subject, predicate, obj = self.subject, self.predicate, self.object
+        # Fast path for the common all-valid case; anything else takes the
+        # full per-position check (and its error message).
+        if type(subject) is str and subject and subject[0] != "?" \
+                and type(predicate) is str and predicate \
+                and predicate[0] != "?" \
+                and (type(obj) is Literal or type(obj) is str and obj
+                     and obj[0] != "?"):
+            return
+        _check_term(subject, "subject", allow_literal=False)
+        _check_term(predicate, "predicate", allow_literal=False)
+        _check_term(obj, "object", allow_literal=True)
 
     def __iter__(self) -> Iterator[Term]:
         return iter((self.subject, self.predicate, self.object))

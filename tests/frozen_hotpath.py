@@ -152,3 +152,10 @@ class _CloseFrame:
 
     def __init__(self, ident: int):
         self.ident = ident
+
+
+def prune_latency_flight(jobs: list) -> list:
+    """``Link._prune_latency_flight``: the latency-flight list kept every
+    job ever flown until the next uncontended enqueue filtered it down to
+    the jobs whose delivery event is still booked."""
+    return [j for j in jobs if j.timer is not None and j.timer.active]
