@@ -72,13 +72,11 @@ class CostModel:
     migration_deadline_ms: float = 0.0
     #: Split transfers into chunks of this size so a mid-transfer failure
     #: resumes from the last acknowledged chunk instead of resending
-    #: everything.  0 (default) keeps the legacy single-message transfer,
-    #: whose timing is byte-identical to pre-chunking behaviour.
+    #: everything.  0 (default) sends the whole snapshot as one chunk.
     transfer_chunk_bytes: int = 0
     #: Sliding-window size for chunked transfers: up to this many chunks
     #: ride the wire concurrently, so per-hop latency is paid once per
-    #: window instead of once per chunk.  1 (default) is stop-and-wait,
-    #: byte-identical in timing and trace to the pre-window engine.
+    #: window instead of once per chunk.  1 (default) is stop-and-wait.
     transfer_window: int = 1
 
     def __post_init__(self) -> None:
@@ -119,9 +117,8 @@ class CostModel:
     def chunk_sizes(self, size_bytes: int) -> List[int]:
         """Wire chunks for a payload (a single chunk when chunking is off).
 
-        A zero-byte payload yields an explicit empty plan: there is nothing
-        to put on the wire, so no chunk machinery is scheduled (the control
-        message still crosses the network at size 0).
+        A zero-byte payload yields an explicit empty plan (``chunks_total``
+        0); the transfer still crosses the network as one 0-byte frame.
         """
         if size_bytes <= 0:
             return []
@@ -162,7 +159,8 @@ class MigrationResult:
     dedup_hits: int = 0
     chunks_total: int = 0
     chunks_acked: int = 0
-    #: Sliding-window accounting (1/1/0 on unchunked or stop-and-wait runs).
+    #: Sliding-window accounting: ``transfer_window`` is 1 and
+    #: ``max_in_flight`` 1 on one-chunk and stop-and-wait transfers.
     transfer_window: int = 1
     max_in_flight: int = 0
     #: Rough pipelining gain: (first-chunk RTT x chunks) - actual transfer
@@ -392,8 +390,7 @@ class MobilityService:
 
     def _send_snapshot(self, container: "AgentContainer",
                        snapshot: AgentSnapshot, carried: List[ACLMessage],
-                       result: MigrationResult, kind: str,
-                       attempt: int = 0) -> None:
+                       result: MigrationResult, kind: str) -> None:
         result.checked_out_at = self.platform.loop.now
         result.depart_local = container.host.local_time()
         self._transfer_seq += 1
@@ -401,52 +398,32 @@ class MobilityService:
         result.chunks_total = len(sizes)
         if len(sizes) > 1:
             result.transfer_window = max(1, self.cost_model.transfer_window)
+        # A zero-byte snapshot has an empty chunk plan but still crosses
+        # the network: as one 0-byte frame.
         self._transmit(_Transfer(
             container=container, snapshot=snapshot, carried=carried,
             result=result, kind=kind, transfer_id=self._transfer_seq,
-            chunk_sizes=sizes, attempt=attempt))
+            chunk_sizes=sizes or [0]))
 
     def _transmit(self, transfer: _Transfer) -> None:
-        """Pump the transfer: fill the window (or, un-chunked, send all).
+        """Pump the transfer: fill the go-back-N window.
 
-        Chunked transfers are pipelined go-back-N: up to ``transfer_window``
-        chunks ride the wire at once, the simulator's delivery callback
-        doubles as a zero-cost cumulative ack, and only the final chunk
-        carries the actual payload.  A drop rewinds to the lowest unacked
-        chunk after a seeded backoff, so bytes already acknowledged are
-        never re-sent -- that is the checkpointed resume.  With
-        ``transfer_window == 1`` this degenerates to the historical
-        stop-and-wait engine, byte-identical in timing and trace.
+        Every transfer is pipelined go-back-N over ``("chunk", id, seq,
+        total, inner)`` frames: up to ``result.transfer_window`` chunks
+        ride the wire at once, the simulator's delivery callback doubles
+        as a zero-cost cumulative ack, and only the final chunk carries
+        the actual payload.  A drop rewinds to the lowest unacked chunk
+        after a seeded backoff, so bytes already acknowledged are never
+        re-sent -- that is the checkpointed resume.  An unchunked plan
+        (``transfer_chunk_bytes == 0``, or a payload within one chunk) is
+        the one-chunk case and ``transfer_window == 1`` is stop-and-wait;
+        the goldens under ``tests/faults/golden`` freeze both, timing and
+        trace.
         """
         transfer.recovering = False
         result = transfer.result
         sizes = transfer.chunk_sizes
-        if len(sizes) <= 1:
-            # Unchunked (or degenerate zero-byte) transfer: one message
-            # carries everything.
-            self._obs_next_phase(result, "agent.transfer",
-                                 transfer.container.host,
-                                 attempt=transfer.attempt)
-
-            def on_dropped(receipt):
-                self.transfers_dropped += 1
-                self._retry(transfer, "lost in transit", lost_phase=True)
-
-            try:
-                self.platform.network.send(
-                    transfer.container.host_name, result.destination,
-                    TRANSFER_PROTOCOL,
-                    (transfer.snapshot, transfer.carried, transfer.kind,
-                     result),
-                    sizes[0] if sizes else 0,
-                    on_delivered=None, on_dropped=on_dropped)
-            except RETRYABLE_SEND_ERRORS as exc:
-                transfer.last_error = str(exc)
-                self._retry(transfer, str(exc), lost_phase=False)
-            except Exception as exc:
-                self._fail(result, str(exc), transfer)
-            return
-        window = max(1, self.cost_model.transfer_window)
+        window = result.transfer_window
         if (window > 1 and transfer.in_flight == 0
                 and len(sizes) - transfer.next_to_send >= 2
                 and self._send_window(transfer, window)):
@@ -456,6 +433,29 @@ class MobilityService:
                and transfer.next_to_send < len(sizes)):
             if not self._send_chunk(transfer, window):
                 break
+
+    def _frame(self, transfer: _Transfer, seq: int) -> tuple:
+        """Wire frame of chunk ``seq`` plus its ack and drop callbacks,
+        both guarded by the current window epoch:
+        ``(payload, on_delivered, on_dropped)``."""
+        result = transfer.result
+        total = len(transfer.chunk_sizes)
+        epoch = transfer.epoch
+        payload = ("chunk", transfer.transfer_id, seq, total,
+                   (transfer.snapshot, transfer.carried, transfer.kind,
+                    result) if seq == total - 1 else None)
+
+        def on_delivered(receipt):
+            self._chunk_acked(transfer, seq, epoch, receipt)
+
+        def on_dropped(receipt):
+            self.transfers_dropped += 1
+            if (epoch != transfer.epoch or result.failed
+                    or result.completed):
+                return  # a newer window round already took over
+            self._chunk_lost(transfer, "lost in transit", lost_phase=True)
+
+        return payload, on_delivered, on_dropped
 
     def _send_window(self, transfer: _Transfer, window: int) -> bool:
         """Try to book a whole window round in one kernel event.
@@ -471,25 +471,9 @@ class MobilityService:
         sizes = transfer.chunk_sizes
         base = transfer.next_to_send
         count = min(window - transfer.in_flight, len(sizes) - base)
-        epoch = transfer.epoch
         chunks = []
         for seq in range(base, base + count):
-            final = seq == len(sizes) - 1
-            payload = ("chunk", transfer.transfer_id, seq, len(sizes),
-                       (transfer.snapshot, transfer.carried, transfer.kind,
-                        result) if final else None)
-
-            def on_delivered(receipt, seq=seq, epoch=epoch):
-                self._chunk_acked(transfer, seq, epoch, receipt)
-
-            def on_dropped(receipt, epoch=epoch):
-                self.transfers_dropped += 1
-                if (epoch != transfer.epoch or result.failed
-                        or result.completed):
-                    return  # a newer window round already took over
-                self._chunk_lost(transfer, "lost in transit",
-                                 lost_phase=True)
-
+            payload, on_delivered, on_dropped = self._frame(transfer, seq)
             chunks.append((payload, sizes[seq], on_delivered, on_dropped))
         try:
             receipts = self.platform.network.send_window(
@@ -542,29 +526,17 @@ class MobilityService:
         result = transfer.result
         sizes = transfer.chunk_sizes
         seq = transfer.next_to_send
-        attrs = {"attempt": transfer.attempt, "chunk": seq,
-                 "chunks": len(sizes)}
+        attrs = {"attempt": transfer.attempt}
+        if len(sizes) > 1:
+            attrs["chunk"] = seq
+            attrs["chunks"] = len(sizes)
         if window > 1:
             attrs["window"] = window
             attrs["in_flight"] = transfer.in_flight
         self._obs_next_phase(result, "agent.transfer",
                              transfer.container.host, **attrs)
-        final = seq == len(sizes) - 1
-        payload = ("chunk", transfer.transfer_id, seq, len(sizes),
-                   (transfer.snapshot, transfer.carried, transfer.kind,
-                    result) if final else None)
         epoch = transfer.epoch
-
-        def on_delivered(receipt, seq=seq, epoch=epoch):
-            self._chunk_acked(transfer, seq, epoch, receipt)
-
-        def on_dropped(receipt, epoch=epoch):
-            self.transfers_dropped += 1
-            if (epoch != transfer.epoch or result.failed
-                    or result.completed):
-                return  # a newer window round already took over
-            self._chunk_lost(transfer, "lost in transit", lost_phase=True)
-
+        payload, on_delivered, on_dropped = self._frame(transfer, seq)
         try:
             self.platform.network.send(
                 transfer.container.host_name, result.destination,
@@ -613,7 +585,7 @@ class MobilityService:
             transfer.attempt = 0
             result.chunks_acked = max(result.chunks_acked,
                                       transfer.next_chunk)
-        self._emit_window(transfer, max(1, self.cost_model.transfer_window))
+        self._emit_window(transfer, result.transfer_window)
         total = len(transfer.chunk_sizes)
         if transfer.next_chunk >= total:
             self._window_drained(transfer)
@@ -648,7 +620,7 @@ class MobilityService:
         transfer.in_flight = 0
         transfer.delivered.clear()
         transfer.next_to_send = transfer.next_chunk
-        self._emit_window(transfer, max(1, self.cost_model.transfer_window))
+        self._emit_window(transfer, transfer.result.transfer_window)
         self._retry(transfer, reason, lost_phase=lost_phase)
 
     def _retry(self, transfer: _Transfer, reason: str,
@@ -720,42 +692,37 @@ class MobilityService:
             self._rx_done.pop(next(iter(self._rx_done)))
 
     def _on_transfer(self, container: "AgentContainer", net_message) -> None:
-        payload = net_message.payload
-        if (isinstance(payload, tuple) and len(payload) == 5
-                and payload[0] == "chunk"):
-            _tag, transfer_id, seq, total, inner = payload
-            key = (container.host_name, transfer_id)
-            if key in self._rx_done:  # straggler of a finished transfer
-                self._dedup(container, inner[3] if inner else None)
-                return
-            seen = self._rx_chunks.get(key)
-            if seen is None:
-                seen = self._rx_chunks[key] = set()
-                while len(self._rx_chunks) > self._RX_CHUNKS_MAX:
-                    oldest = next(iter(self._rx_chunks))
-                    if oldest == key:
-                        break  # never evict the transfer being served
-                    self._rx_chunks.pop(oldest)
-            duplicate = seq in seen
-            seen.add(seq)
-            if inner is None:  # intermediate chunk: ack only
-                if duplicate:  # re-delivery of an already-accepted chunk
-                    self._dedup(container, None)
-                return
-            if len(seen) < total:
-                # The payload-bearing final chunk outran a lost earlier
-                # chunk (pipelined window + loss); hold the check-in until
-                # the go-back-N retransmit fills the hole.
-                return
-            self._rx_chunks.pop(key, None)
-            self._mark_rx_done(key)
-            # A duplicate final chunk falls through: either the transfer
-            # already checked in (the _arrived guard below dedups it) or a
-            # retransmitted final just completed a recovered window.
-            snapshot, carried, kind, result = inner
-        else:
-            snapshot, carried, kind, result = payload
-        if result._arrived:  # duplicate delivery of the whole transfer
+        _tag, transfer_id, seq, total, inner = net_message.payload
+        key = (container.host_name, transfer_id)
+        if key in self._rx_done:  # straggler of a finished transfer
+            self._dedup(container, inner[3] if inner else None)
+            return
+        seen = self._rx_chunks.get(key)
+        if seen is None:
+            seen = self._rx_chunks[key] = set()
+            while len(self._rx_chunks) > self._RX_CHUNKS_MAX:
+                oldest = next(iter(self._rx_chunks))
+                if oldest == key:
+                    break  # never evict the transfer being served
+                self._rx_chunks.pop(oldest)
+        duplicate = seq in seen
+        seen.add(seq)
+        if inner is None:  # intermediate chunk: ack only
+            if duplicate:  # re-delivery of an already-accepted chunk
+                self._dedup(container, None)
+            return
+        if len(seen) < total:
+            # The payload-bearing final chunk outran a lost earlier chunk
+            # (pipelined window + loss); hold the check-in until the
+            # go-back-N retransmit fills the hole.
+            return
+        self._rx_chunks.pop(key, None)
+        self._mark_rx_done(key)
+        # A duplicate final chunk falls through: either the transfer
+        # already checked in (the _arrived guard below dedups it) or a
+        # retransmitted final just completed a recovered window.
+        snapshot, carried, kind, result = inner
+        if result._arrived:  # final chunk re-delivered after arrival
             self._dedup(container, result)
             return
         result._arrived = True

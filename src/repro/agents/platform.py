@@ -17,12 +17,12 @@ from typing import Dict, List, Optional, Type
 from repro.agents.acl import ACLMessage, split_aid
 from repro.agents.agent import Agent
 from repro.agents.directory import DirectoryFacilitator
+from repro.agents.mobility import TRANSFER_PROTOCOL, MobilityService
 from repro.agents.serialization import SerializationError, deep_size_bytes
 from repro.net.kernel import EventLoop
 from repro.net.simnet import Host, Message, Network, register_bulk_protocol
 
 ACL_PROTOCOL = "agents.acl"
-TRANSFER_PROTOCOL = "agents.transfer"
 # Agent state transfers are bulk traffic: chunks of one migration queue
 # FIFO within their flow, concurrent migrations share link bandwidth
 # fairly, and ACL control messages never wait behind them.
@@ -153,7 +153,6 @@ class AgentPlatform:
         self.messages_failed = 0
         self.undelivered_buffered = 0
         self._lease_until = 0.0
-        from repro.agents.mobility import MobilityService
         self.mobility = MobilityService(self)
 
     # -- DF leases ---------------------------------------------------------------

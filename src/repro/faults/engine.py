@@ -50,13 +50,12 @@ class FaultConfig:
     arm: str = "first-migration"
     enabled: bool = True
     # -- reliability hardening applied to the deployment ------------------
-    #: Chunked, checkpoint-resumable agent transfers (0 keeps the legacy
-    #: single-message transfer).
+    #: Chunked, checkpoint-resumable agent transfers (0 sends the whole
+    #: snapshot as one chunk).
     transfer_chunk_bytes: int = 0
     #: Sliding-window size for chunked transfers: up to this many chunks in
-    #: flight at once (pipelined go-back-N).  1 keeps stop-and-wait, whose
-    #: timings are byte-identical to the pre-window engine; > 1 requires
-    #: ``transfer_chunk_bytes > 0``.
+    #: flight at once (pipelined go-back-N).  1 keeps stop-and-wait; > 1
+    #: requires ``transfer_chunk_bytes > 0``.
     transfer_window: int = 1
     #: Overall migration deadline (0 disables).
     migration_deadline_ms: float = 0.0

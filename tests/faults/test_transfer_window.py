@@ -14,6 +14,7 @@ import pytest
 
 from repro.agents.agent import Agent
 from repro.agents.mobility import (
+    TRANSFER_PROTOCOL,
     CostModel,
     MigrationResult,
     TransferCostModel,
@@ -134,6 +135,17 @@ def test_window1_reproduces_stop_and_wait_golden_byte_for_byte():
         for field, expected in golden[scenario].items():
             assert fresh[scenario][field] == expected, (
                 f"{scenario}.{field} diverged from stop-and-wait golden")
+
+
+def test_one_chunk_reproduces_single_message_golden_byte_for_byte():
+    capture = _load_capture_module()
+    golden = json.loads((GOLDEN_DIR / "single_message.json").read_text())
+    fresh = capture.capture("single_message")
+    assert golden["flap"]["transfer_retries"] > 0  # the flap forces retries
+    for scenario in ("flap", "clean"):
+        for field, expected in golden[scenario].items():
+            assert fresh[scenario][field] == expected, (
+                f"{scenario}.{field} diverged from single-message golden")
 
 
 def test_explicit_window1_matches_default():
@@ -309,6 +321,41 @@ def test_zero_byte_snapshot_skips_chunk_machinery():
     platform.mobility._send_snapshot(c1, snapshot, [], result, "move")
     loop.run()
     assert result.completed
-    assert result.chunks_total == 0  # explicit empty plan, no chunk frames
+    assert result.chunks_total == 0  # explicit empty plan...
+    assert result.chunks_acked == 1  # ...sent as one 0-byte frame
     assert platform.mobility._rx_chunks == {}
     assert c2.has_agent("zb")
+
+
+# -- one wire format: every transfer rides go-back-N chunk frames -----------
+
+@pytest.mark.parametrize("window", [1, 4])
+@pytest.mark.parametrize("chunk_bytes", [0, 1_000])
+def test_every_transfer_payload_is_a_chunk_frame(chunk_bytes, window):
+    loop, net, platform, c1, c2 = rig()
+    # Set on the live model (as a deployment may): chunk 0 with window 4
+    # is rejected at construction, and must still send one-chunk frames.
+    model = platform.mobility.cost_model
+    model.transfer_chunk_bytes = chunk_bytes
+    model.transfer_window = window
+    frames = []
+
+    def spy(message):
+        frames.append(message.payload)
+        platform.mobility._on_transfer(c2, message)
+
+    c2.host.register_handler(TRANSFER_PROTOCOL, spy)
+    agent = c1.create_agent(WindowCourier, "ma")
+    result = agent.do_move("h2")
+    loop.run()
+    assert result.completed
+    total = max(1, result.chunks_total)
+    assert len(frames) == total
+    for seq, frame in enumerate(frames):
+        tag, transfer_id, frame_seq, frame_total, inner = frame
+        assert (tag, frame_seq, frame_total) == ("chunk", seq, total)
+        assert transfer_id == platform.mobility._transfer_seq
+        assert (inner is None) == (seq < total - 1)
+    assert frames[-1][4][3] is result
+    assert result.chunks_acked == total
+    assert result.max_in_flight == (min(window, total) if total > 1 else 1)
