@@ -526,15 +526,16 @@ class MobilityService:
         result = transfer.result
         sizes = transfer.chunk_sizes
         seq = transfer.next_to_send
-        attrs = {"attempt": transfer.attempt}
-        if len(sizes) > 1:
-            attrs["chunk"] = seq
-            attrs["chunks"] = len(sizes)
-        if window > 1:
-            attrs["window"] = window
-            attrs["in_flight"] = transfer.in_flight
-        self._obs_next_phase(result, "agent.transfer",
-                             transfer.container.host, **attrs)
+        if getattr(result, "_obs_root", None) is not None:
+            attrs = {"attempt": transfer.attempt}
+            if len(sizes) > 1:
+                attrs["chunk"] = seq
+                attrs["chunks"] = len(sizes)
+            if window > 1:
+                attrs["window"] = window
+                attrs["in_flight"] = transfer.in_flight
+            self._obs_next_phase(result, "agent.transfer",
+                                 transfer.container.host, **attrs)
         epoch = transfer.epoch
         payload, on_delivered, on_dropped = self._frame(transfer, seq)
         try:
@@ -697,26 +698,29 @@ class MobilityService:
         if key in self._rx_done:  # straggler of a finished transfer
             self._dedup(container, inner[3] if inner else None)
             return
-        seen = self._rx_chunks.get(key)
-        if seen is None:
-            seen = self._rx_chunks[key] = set()
-            while len(self._rx_chunks) > self._RX_CHUNKS_MAX:
-                oldest = next(iter(self._rx_chunks))
-                if oldest == key:
-                    break  # never evict the transfer being served
-                self._rx_chunks.pop(oldest)
-        duplicate = seq in seen
-        seen.add(seq)
-        if inner is None:  # intermediate chunk: ack only
-            if duplicate:  # re-delivery of an already-accepted chunk
-                self._dedup(container, None)
-            return
-        if len(seen) < total:
-            # The payload-bearing final chunk outran a lost earlier chunk
-            # (pipelined window + loss); hold the check-in until the
-            # go-back-N retransmit fills the hole.
-            return
-        self._rx_chunks.pop(key, None)
+        if total > 1:
+            # A one-chunk frame is complete on arrival: only a multi-chunk
+            # transfer needs the set of accepted seqs.
+            seen = self._rx_chunks.get(key)
+            if seen is None:
+                seen = self._rx_chunks[key] = set()
+                while len(self._rx_chunks) > self._RX_CHUNKS_MAX:
+                    oldest = next(iter(self._rx_chunks))
+                    if oldest == key:
+                        break  # never evict the transfer being served
+                    self._rx_chunks.pop(oldest)
+            duplicate = seq in seen
+            seen.add(seq)
+            if inner is None:  # intermediate chunk: ack only
+                if duplicate:  # re-delivery of an already-accepted chunk
+                    self._dedup(container, None)
+                return
+            if len(seen) < total:
+                # The payload-bearing final chunk outran a lost earlier
+                # chunk (pipelined window + loss); hold the check-in until
+                # the go-back-N retransmit fills the hole.
+                return
+            self._rx_chunks.pop(key, None)
         self._mark_rx_done(key)
         # A duplicate final chunk falls through: either the transfer
         # already checked in (the _arrived guard below dedups it) or a

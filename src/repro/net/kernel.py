@@ -22,8 +22,8 @@ they dominate the queue (see :meth:`EventLoop._compact`).
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
@@ -41,23 +41,22 @@ class Timer:
     __slots__ = ("due", "seq", "callback", "args", "cancelled", "fired",
                  "_loop")
 
-    def __init__(self, due: float, seq: int, callback: Callable[..., None], args: Tuple[Any, ...]):
+    def __init__(self, due: float, seq: int, callback: Callable[..., None],
+                 args: Tuple[Any, ...], loop: "EventLoop"):
         self.due = due
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
         self.fired = False
-        self._loop: Optional["EventLoop"] = None
+        self._loop = loop
 
     def cancel(self) -> None:
         """Prevent the callback from running (no-op if it already ran)."""
         if self.cancelled or self.fired:
             return
         self.cancelled = True
-        loop = self._loop
-        if loop is not None:
-            loop._note_cancel()
+        self._loop._note_cancel()
 
     @property
     def active(self) -> bool:
@@ -78,6 +77,10 @@ class EventLoop:
         loop.call_later(10.0, hello)
         loop.run()            # drains every event
         loop.now              # -> 10.0
+
+    :attr:`now` is a plain attribute: the kernel writes it on every
+    dispatch (and when ``run(until=...)`` idles the clock forward);
+    callers only read it.
     """
 
     #: Width of one far-calendar bucket in simulated ms.  Events due within
@@ -92,7 +95,8 @@ class EventLoop:
     _COMPACT_MIN_DEAD = 256
 
     def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+        #: Current simulated time in milliseconds.  Read-only for callers.
+        self.now = float(start_time)
         #: Near heap: ``(due, seq, Timer)`` entries, the only structure
         #: events are popped from.
         self._near: List[Tuple[float, int, Timer]] = []
@@ -103,7 +107,7 @@ class EventLoop:
         self._bucket_heap: List[int] = []
         #: Highest bucket index already merged into the near heap; pushes
         #: at or below this land in the near heap directly.
-        self._pulled_upto = int(self._now // self._BUCKET_MS)
+        self._pulled_upto = int(self.now // self._BUCKET_MS)
         #: Raw entries across both levels, tombstones included.
         self._size = 0
         #: Cancelled entries still buried in the queue.
@@ -120,11 +124,6 @@ class EventLoop:
         self._metrics_for = None
         self._ev_counter = None
         self._depth_gauge = None
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -165,7 +164,7 @@ class EventLoop:
         key) -- it only shrinks :attr:`heap_depth`.
         """
         self._near = [e for e in self._near if not e[2].cancelled]
-        heapq.heapify(self._near)
+        heapify(self._near)
         size = len(self._near)
         for index in list(self._far):
             bucket = [e for e in self._far[index] if not e[2].cancelled]
@@ -180,21 +179,22 @@ class EventLoop:
 
     def call_at(self, when: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule event in the past: {when:.3f} < now {self._now:.3f}"
+                f"cannot schedule event in the past: {when:.3f} < now {self.now:.3f}"
             )
-        timer = Timer(float(when), next(self._seq), callback, args)
-        timer._loop = self
-        entry = (timer.due, timer.seq, timer)
-        index = int(timer.due // self._BUCKET_MS)
+        due = float(when)
+        seq = next(self._seq)
+        timer = Timer(due, seq, callback, args, self)
+        entry = (due, seq, timer)
+        index = int(due // self._BUCKET_MS)
         if index <= self._pulled_upto:
-            heapq.heappush(self._near, entry)
+            heappush(self._near, entry)
         else:
             bucket = self._far.get(index)
             if bucket is None:
                 self._far[index] = [entry]
-                heapq.heappush(self._bucket_heap, index)
+                heappush(self._bucket_heap, index)
             else:
                 bucket.append(entry)
         self._size += 1
@@ -204,12 +204,12 @@ class EventLoop:
         """Schedule ``callback(*args)`` after ``delay`` ms of simulated time."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.call_at(self._now + delay, callback, *args)
+        return self.call_at(self.now + delay, callback, *args)
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at the current instant (after the
         currently running event and anything already queued for *now*)."""
-        return self.call_at(self._now, callback, *args)
+        return self.call_at(self.now, callback, *args)
 
     def reschedule(self, timer: Timer, when: float) -> Timer:
         """Move a *pending* timer to a new due time.
@@ -248,35 +248,31 @@ class EventLoop:
         """
         if not self._bucket_heap:
             return
-        index = heapq.heappop(self._bucket_heap)
+        index = heappop(self._bucket_heap)
         self._pulled_upto = index
         entries = self._far.pop(index)
-        heapq.heapify(entries)
+        heapify(entries)
         self._near = entries
 
-    def _pop_due(self) -> Optional[Timer]:
+    def step(self) -> bool:
+        """Pop and run the single earliest pending event.
+
+        Cancelled tombstones met on the way are discarded.  Returns False
+        when the queue is empty (time does not advance).
+        """
         near = self._near
         while True:
             if not near:
                 self._pull_far()
                 near = self._near
                 if not near:
-                    return None
-            _, _, timer = heapq.heappop(near)
+                    return False
+            timer = heappop(near)[2]
             self._size -= 1
             if not timer.cancelled:
-                return timer
+                break
             self._dead -= 1
-
-    def step(self) -> bool:
-        """Run the single earliest pending event.
-
-        Returns False when the queue is empty (time does not advance).
-        """
-        timer = self._pop_due()
-        if timer is None:
-            return False
-        self._now = timer.due
+        self.now = timer.due
         timer.fired = True
         self._processed += 1
         obs = self.observability
@@ -319,7 +315,7 @@ class EventLoop:
             # (repro.obs.perf): state has settled for this instant.
             # ``depth`` counts raw queue entries (cancelled tombstones
             # included) so the read stays O(1).
-            obs.emit("kernel.event", now=self._now, callback=name,
+            obs.emit("kernel.event", now=self.now, callback=name,
                      processed=self._processed, depth=self._size)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
@@ -329,26 +325,31 @@ class EventLoop:
         ``until`` is inclusive: events due exactly at ``until`` run, and on
         exit the clock is advanced to ``until`` even if the queue drained
         earlier (so idle time is observable).
+
+        Every event dispatches through :meth:`step`, which pops the queue
+        itself; the head is peeked only to test it against ``until``.
         """
         if self._running:
             raise SimulationError("event loop is re-entrant: run() called from a callback")
         self._running = True
+        step = self.step
         ran = 0
         try:
-            while True:
-                if max_events is not None and ran >= max_events:
-                    break
-                timer = self._peek_due()
-                if timer is None:
-                    break
-                if until is not None and timer.due > until:
-                    break
-                self.step()
-                ran += 1
+            if until is None:
+                while (max_events is None or ran < max_events) and step():
+                    ran += 1
+            else:
+                peek = self._peek_due
+                while max_events is None or ran < max_events:
+                    timer = peek()
+                    if timer is None or timer.due > until:
+                        break
+                    step()
+                    ran += 1
         finally:
             self._running = False
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until
         return ran
 
     def _peek_due(self) -> Optional[Timer]:
@@ -359,9 +360,9 @@ class EventLoop:
                 near = self._near
                 if not near:
                     return None
-            _, _, timer = near[0]
+            timer = near[0][2]
             if timer.cancelled:
-                heapq.heappop(near)
+                heappop(near)
                 self._size -= 1
                 self._dead -= 1
                 continue
@@ -379,7 +380,7 @@ class EventLoop:
         clock exactly ``delay`` forward."""
         if delay < 0:
             raise SimulationError(f"negative advance: {delay}")
-        return self.run(until=self._now + delay)
+        return self.run(until=self.now + delay)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<EventLoop now={self._now:.3f} pending={self.pending}>"
+        return f"<EventLoop now={self.now:.3f} pending={self.pending}>"

@@ -942,6 +942,25 @@ class Network:
         if cached is not None:
             self.route_cache_hits += 1
             return list(cached)
+        path = self._tree_path(source, destination)
+        self._route_cache[(source, destination)] = path
+        self.route_cache_misses += 1
+        return list(path)
+
+    def hop_count(self, source: str, destination: str) -> int:
+        """Links on the :meth:`route` path, read for telemetry.
+
+        Neither the route-cache counters nor the path cache move, so a
+        run counts the same hits and misses with and without telemetry.
+        Raises like :meth:`route` when no path exists.
+        """
+        path = self._route_cache.get((source, destination))
+        if path is None:
+            path = self._tree_path(source, destination)
+        return len(path) - 1
+
+    def _tree_path(self, source: str, destination: str) -> List[str]:
+        """Read the hop path off ``source``'s (cached) BFS tree."""
         if source not in self._hosts or destination not in self._hosts:
             raise NetworkError(f"unknown endpoint {source!r} or {destination!r}")
         parents = self._route_trees.get(source)
@@ -956,9 +975,7 @@ class Network:
             path.append(hop)
             hop = parents[hop]
         path.reverse()
-        self._route_cache[(source, destination)] = path
-        self.route_cache_misses += 1
-        return list(path)
+        return path
 
     def _route_tree(self, source: str) -> Dict[str, Optional[str]]:
         """BFS from ``source``: every reachable host -> its parent.
@@ -996,16 +1013,22 @@ class Network:
         destination goes offline mid-flight.
         """
         src = self.host(source)
-        if not src.online:
+        if not src._online:
             raise HostOfflineError(f"source host {source!r} is offline")
         dst = self.host(destination)
-        if not dst.online:
+        if not dst._online:
             raise HostOfflineError(
                 f"destination host {destination!r} is offline")
         message = Message(source, destination, protocol, payload, size_bytes,
-                          message_id=next(self._msg_ids), sent_at=self.loop.now)
+                          next(self._msg_ids), self.loop.now)
         receipt = DeliveryReceipt(message)
-        path = self.route(source, destination)
+        # A cache hit is counted here and read without route()'s
+        # defensive copy: hops only ever read the path.
+        path = self._route_cache.get((source, destination))
+        if path is None:
+            path = self.route(source, destination)
+        else:
+            self.route_cache_hits += 1
         src.bytes_sent += size_bytes
         if len(path) == 1:
             self.loop.call_soon(self._deliver, receipt, on_delivered,
@@ -1218,34 +1241,44 @@ class Network:
                  on_dropped: Optional[Callable[[DeliveryReceipt], None]],
                  via: Optional[Link] = None,
                  bulk_via: Optional[Link] = None) -> None:
+        message = receipt.message
         if via is not None:
-            self._land(via, receipt)
+            # A control hop's event fired: take it off the in-flight index
+            # (gone already if the link was detached meanwhile).
+            entries = self._in_flight.get(via)
+            if entries is not None:
+                del entries[message.message_id]
         elif bulk_via is not None:
             bulk_via.land_bulk(receipt)
         here, there = path[hop_index], path[hop_index + 1]
+        size = message.size_bytes
         if hop_index > 0:
             # Arrived at a relay: the previous hop's bytes are off the wire
             # whether or not this host can forward them onward.
-            self.bytes_off_wire += receipt.message.size_bytes
-        if hop_index > 0 and not self._hosts[here].online:
-            # The relay crashed while the message was in flight towards it
-            # (store-and-forward: an offline gateway loses the message).
-            self._drop(receipt, on_dropped)
-            return
-        link = self.link_between(here, there)
+            self.bytes_off_wire += size
+            if not self._hosts[here]._online:
+                # The relay crashed while the message was in flight towards
+                # it (store-and-forward: an offline gateway loses it).
+                self._drop(receipt, on_dropped)
+                return
+        link = self._pair_links.get((here, there))
         if link is None:
             # The route was computed at send time; the next hop has since
             # been disconnected (e.g. a link-down fault mid-path).
             self._drop(receipt, on_dropped)
             return
-        if traffic_class(receipt.message.protocol) == BULK:
+        if message.protocol in _BULK_PROTOCOLS:
             self._forward_bulk(receipt, link, path, hop_index, here, there,
                                on_delivered, on_dropped)
             return
-        queue_ms = max(0.0, link.busy_until - self.loop.now)
-        arrival, lost = link.schedule_transfer(
-            self.loop.now, receipt.message.size_bytes, self.rng)
-        obs = self.loop.observability
+        loop = self.loop
+        now = loop.now
+        obs = loop.observability
+        if obs is not None:
+            # Only the hop observation reads the queueing delay; it must
+            # be taken before the transfer moves the lane cursor.
+            queue_ms = max(0.0, link.busy_until - now)
+        arrival, lost = link.schedule_transfer(now, size, self.rng)
         if obs is not None:
             self._observe_hop(obs, receipt, link, here, there, queue_ms,
                               arrival, lost)
@@ -1253,35 +1286,25 @@ class Network:
             # A lossy-link loss is synchronous, but the phantom occupied
             # the wire (busy_until advanced), so it enters and leaves the
             # ledger in one step -- bytes_on_wire balances under loss.
-            self.bytes_on_wire += receipt.message.size_bytes
-            self.bytes_off_wire += receipt.message.size_bytes
+            self.bytes_on_wire += size
+            self.bytes_off_wire += size
             self._drop(receipt, on_dropped)
             return
         receipt.hops += 1
-        self.bytes_on_wire += receipt.message.size_bytes
+        self.bytes_on_wire += size
         # ``via=link`` lets the fired event take its hop off the index.
         if hop_index + 2 == len(path):
-            timer = self.loop.call_at(arrival, self._deliver, receipt,
-                                      on_delivered, on_dropped, link)
+            timer = loop.call_at(arrival, self._deliver, receipt,
+                                 on_delivered, on_dropped, link)
         else:
             delay = self._forward_delay.get(there, 0.0)
-            timer = self.loop.call_at(arrival + delay, self._forward, receipt,
-                                      path, hop_index + 1, on_delivered,
-                                      on_dropped, link)
+            timer = loop.call_at(arrival + delay, self._forward, receipt,
+                                 path, hop_index + 1, on_delivered,
+                                 on_dropped, link)
         entries = self._in_flight.get(link)
         if entries is None:
             entries = self._in_flight[link] = {}
-        entries[receipt.message.message_id] = (timer, receipt, on_dropped)
-
-    def _land(self, link: Link, receipt: DeliveryReceipt) -> None:
-        """A control hop's delivery/forward event fired: unindex the hop.
-
-        The link's entries are gone if it was disconnected meanwhile (a
-        graceful detach lets its in-flight messages drain).
-        """
-        entries = self._in_flight.get(link)
-        if entries is not None:
-            del entries[receipt.message.message_id]
+        entries[message.message_id] = (timer, receipt, on_dropped)
 
     def _forward_bulk(self, receipt: DeliveryReceipt, link: Link,
                       path: List[str], hop_index: int, here: str, there: str,
@@ -1352,25 +1375,30 @@ class Network:
                  on_dropped: Optional[Callable[[DeliveryReceipt], None]] = None,
                  via: Optional[Link] = None,
                  bulk_via: Optional[Link] = None) -> None:
+        message = receipt.message
         if via is not None:
-            self._land(via, receipt)
+            entries = self._in_flight.get(via)
+            if entries is not None:
+                del entries[message.message_id]
         elif bulk_via is not None:
             bulk_via.land_bulk(receipt)
-        dst = self._hosts[receipt.message.destination]
+        dst = self._hosts[message.destination]
+        size = message.size_bytes
         if receipt.hops:
             # Came in over a link (hops == 0 means local delivery).
-            self.bytes_off_wire += receipt.message.size_bytes
-        if not dst.online:
+            self.bytes_off_wire += size
+        if not dst._online:
             self._drop(receipt, on_dropped)
             return
         receipt.delivered = True
-        receipt.delivered_at = self.loop.now
-        obs = self.loop.observability
+        loop = self.loop
+        receipt.delivered_at = loop.now
+        obs = loop.observability
         if obs is not None:
             self._proto_counter(obs.metrics, "delivered",
-                                receipt.message.protocol).inc()
-        dst.deliver(receipt.message)
-        self.bytes_delivered_total += receipt.message.size_bytes
+                                message.protocol).inc()
+        dst.deliver(message)
+        self.bytes_delivered_total += size
         if on_delivered is not None:
             on_delivered(receipt)
 

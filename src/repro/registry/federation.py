@@ -38,8 +38,9 @@ from repro.ontology.matching import SUBSTITUTABLE, UNSUBSTITUTABLE
 from repro.registry.registry import (
     READ_OPERATIONS, REGISTRY_PROTOCOL, WRITE_OPERATIONS, _REQUEST_SIZE,
     _RESPONSE_SIZE, RegistryCenter, RegistryClient, RegistryError,
-    count_registry_message, count_registry_request, emit_registry_event,
-    observe_lookup_latency, registry_telemetry_enabled)
+    count_registry_message, count_registry_request, emit_registry_fail,
+    emit_registry_request, emit_registry_response, observe_lookup_latency,
+    registry_telemetry_enabled)
 
 #: App-lifecycle events that invalidate cached registry reads.  This is
 #: the invalidation seam PR 5 built for prestaging; the prestager and the
@@ -422,9 +423,8 @@ class FederationNode:
         asynchronously, preserving callback ordering)."""
         loop = self.network.loop
         count_registry_request(self.network)
-        emit_registry_event(self.network, "registry.request",
-                            operation=operation, source=self.host_name,
-                            target=self.host_name)
+        emit_registry_request(self.network, operation, self.host_name,
+                              self.host_name)
         if space is None:
             target = routing_host(operation, args)
             if target is not None:
@@ -432,11 +432,9 @@ class FederationNode:
 
         def reply(result: Any, error: Optional[str]) -> None:
             if error is None:
-                emit_registry_event(self.network, "registry.response",
-                                    operation=operation)
+                emit_registry_response(self.network, operation)
             else:
-                emit_registry_event(self.network, "registry.fail",
-                                    operation=operation, error=error)
+                emit_registry_fail(self.network, operation, error)
             callback(result, error)
 
         if space is not None:
@@ -501,9 +499,8 @@ class FederationNode:
         for space, host in remote:
             sub_id = next(RegistryClient._request_ids)
             self._subrequests[sub_id] = (batch, space)
-            emit_registry_event(self.network, "registry.request",
-                                operation=operation, source=self.host_name,
-                                target=host)
+            emit_registry_request(self.network, operation, self.host_name,
+                                  host)
             try:
                 self.network.send(
                     self.host_name, host, REGISTRY_PROTOCOL,
@@ -532,8 +529,7 @@ class FederationNode:
         timer = batch.timers.pop(sub_id, None)
         if timer is not None:
             timer.cancel()
-        emit_registry_event(self.network, "registry.fail",
-                            operation=batch.operation, error=error)
+        emit_registry_fail(self.network, batch.operation, error)
         batch.errors[space] = error
         self._maybe_finish(batch)
 
@@ -544,8 +540,7 @@ class FederationNode:
         timer = batch.timers.pop(sub_id, None)
         if timer is not None:
             timer.cancel()
-        emit_registry_event(self.network, "registry.response",
-                            operation=batch.operation)
+        emit_registry_response(self.network, batch.operation)
         if error is not None:
             batch.errors[space] = error
         else:

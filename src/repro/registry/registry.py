@@ -64,44 +64,57 @@ def registry_telemetry_enabled(network: Network) -> bool:
 
 def count_registry_message(network: Network, source: str,
                            destination: str) -> None:
-    """Account one registry message, weighted by the links it traverses."""
-    if not registry_telemetry_enabled(network):
-        return
+    """Account one registry message, weighted by the links it traverses.
+
+    The hop count is read with :meth:`Network.hop_count`, which leaves the
+    route-cache counters alone: telemetry must not move a counter.
+    """
     obs = network.loop.observability
-    if obs is None:
-        return
-    if source == destination:
+    if (obs is None or source == destination
+            or not registry_telemetry_enabled(network)):
         return
     try:
-        hops = max(1, len(network.route(source, destination)) - 1)
+        hops = max(1, network.hop_count(source, destination))
     except Exception:
         hops = 1
     obs.metrics.counter("registry.messages").inc(hops)
 
 
 def count_registry_request(network: Network) -> None:
-    if not registry_telemetry_enabled(network):
-        return
     obs = network.loop.observability
-    if obs is not None:
+    if obs is not None and registry_telemetry_enabled(network):
         obs.metrics.counter("registry.requests").inc()
 
 
-def emit_registry_event(network: Network, event: str, **payload: Any) -> None:
-    """Ledger events (``registry.request``/``response``/``fail``) for the
-    simcheck message-conservation invariant."""
-    if not registry_telemetry_enabled(network):
-        return
+# Ledger events (``registry.request``/``response``/``fail``) for the
+# simcheck message-conservation invariant: one helper per event, taking
+# positional arguments, so a call with telemetry off costs a plain call
+# rather than a keyword dict per registry message.
+
+def emit_registry_request(network: Network, operation: str, source: str,
+                          target: str) -> None:
     obs = network.loop.observability
-    if obs is not None and obs.hooks:
-        obs.emit(event, **payload)
+    if obs is not None and obs.hooks and registry_telemetry_enabled(network):
+        obs.emit("registry.request", operation=operation, source=source,
+                 target=target)
+
+
+def emit_registry_response(network: Network, operation: str) -> None:
+    obs = network.loop.observability
+    if obs is not None and obs.hooks and registry_telemetry_enabled(network):
+        obs.emit("registry.response", operation=operation)
+
+
+def emit_registry_fail(network: Network, operation: str,
+                       error: str) -> None:
+    obs = network.loop.observability
+    if obs is not None and obs.hooks and registry_telemetry_enabled(network):
+        obs.emit("registry.fail", operation=operation, error=error)
 
 
 def observe_lookup_latency(network: Network, latency_ms: float) -> None:
-    if not registry_telemetry_enabled(network):
-        return
     obs = network.loop.observability
-    if obs is not None:
+    if obs is not None and registry_telemetry_enabled(network):
         obs.metrics.histogram("registry.lookup.latency_ms").observe(
             latency_ms)
 
@@ -386,9 +399,7 @@ class RegistryClient:
                 inner(result, error)
 
             callback = timed
-        emit_registry_event(self.network, "registry.request",
-                            operation=operation, source=self.host_name,
-                            target=target)
+        emit_registry_request(self.network, operation, self.host_name, target)
         if self.host_name == target:
             # Local registry access: no network trip, immediate dispatch.
             def local():
@@ -396,12 +407,10 @@ class RegistryClient:
                     center = _local_center_lookup(self.network, target)
                     result = center.dispatch(operation, args)
                 except Exception as exc:
-                    emit_registry_event(self.network, "registry.fail",
-                                        operation=operation, error=str(exc))
+                    emit_registry_fail(self.network, operation, str(exc))
                     callback(None, str(exc))
                     return
-                emit_registry_event(self.network, "registry.response",
-                                    operation=operation)
+                emit_registry_response(self.network, operation)
                 callback(result, None)
 
             loop.call_soon(local)
@@ -433,8 +442,7 @@ class RegistryClient:
         callback = self._pending.pop(request_id, None)
         operation = self._operations.pop(request_id, None)
         if callback is not None:
-            emit_registry_event(self.network, "registry.fail",
-                                operation=operation, error=error)
+            emit_registry_fail(self.network, operation, error)
             callback(None, error)
 
     def _timeout(self, request_id: int) -> None:
@@ -453,8 +461,7 @@ class RegistryClient:
         if callback is not None:
             # Only a still-pending request counts as answered; a reply to
             # a leaked/failed request must not balance the ledger.
-            emit_registry_event(self.network, "registry.response",
-                                operation=operation)
+            emit_registry_response(self.network, operation)
             callback(result, error)
 
 

@@ -128,3 +128,24 @@ class TestInvariantIntegration:
         assert result.prestage_pushes == 0
         assert result.prestage_hits == 0
         assert result.legs_completed == result.legs_submitted
+
+
+class TestTelemetryNeutrality:
+    def test_observability_leaves_route_cache_counters_alone(self):
+        """Registry telemetry weights each message by its hop count; the
+        read must not count as a route-cache hit, or the cache hit share
+        would depend on whether observability is attached."""
+        from repro.obs import Observability
+        from repro.simcheck import reset_global_state
+
+        seen = []
+        for obs in (None, Observability(trace=False)):
+            reset_global_state()
+            workload = CityWorkload(
+                tiny_config(spaces=12, users=40, federated_registry=True),
+                observability=obs)
+            result = workload.run()
+            network = workload.deployment.network
+            seen.append((network.route_cache_hits,
+                         network.route_cache_misses, result.fleet_digest))
+        assert seen[0] == seen[1]

@@ -310,6 +310,34 @@ def test_straggler_chunk_after_completion_dedups_without_resurrecting():
     assert platform.mobility.dedup_hits >= 1
 
 
+def test_one_chunk_transfer_keeps_no_chunk_set_and_opens_no_idle_span():
+    """A one-chunk frame is complete on arrival: the receiver books no
+    ``_rx_chunks`` set for it, and an untraced sender builds no transfer
+    phase span.  The finished key still lands in ``_rx_done``, so a
+    re-delivered frame dedups."""
+    loop, net, platform, c1, c2 = rig()
+    mobility = platform.mobility
+
+    class SpyTable(dict):
+        writes = 0
+
+        def __setitem__(self, key, value):
+            SpyTable.writes += 1
+            super().__setitem__(key, value)
+
+    phases = []
+    mobility._rx_chunks = SpyTable()
+    mobility._obs_next_phase = lambda result, name, host, **kw: \
+        phases.append(name)
+    agent = c1.create_agent(WindowCourier, "ma")
+    result = agent.do_move("h2")
+    loop.run()
+    assert result.completed and result.chunks_total == 1
+    assert SpyTable.writes == 0
+    assert "agent.transfer" not in phases
+    assert list(mobility._rx_done) == [("h2", 1)]
+
+
 # -- zero-byte degenerate transfer --------------------------------------------
 
 def test_zero_byte_snapshot_skips_chunk_machinery():

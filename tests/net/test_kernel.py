@@ -336,32 +336,83 @@ def test_callbacks_schedule_into_far_future_and_back():
 class _ReferenceHeapLoop:
     """The pre-calendar kernel, minimal: one binary heap, lazy tombstones.
 
-    Used as the ordering oracle: whatever schedule the calendar queue is
-    fed, the dispatch order must match this reference exactly.
+    Used as the oracle for the calendar queue and its dispatch loop:
+    whatever schedule the kernel is fed -- up front or from inside
+    dispatching callbacks, drained in one ``run()`` or in ``until`` /
+    ``max_events`` slices mixed with bare ``step()`` calls -- dispatch
+    order, clock and counters must match this reference exactly.  Entries
+    are ``[due, seq, tag, state]`` lists; tombstones leave the heap when
+    they reach its head and are compacted under the kernel's own rule, so
+    the raw entry count doubles as the oracle for ``heap_depth``.
     """
 
-    def __init__(self):
+    LIVE, CANCELLED, FIRED = "live", "cancelled", "fired"
+
+    def __init__(self, on_dispatch=None):
         import heapq
         import itertools
         self._heapq = heapq
         self._queue = []
         self._seq = itertools.count()
+        self._dead = 0
+        self._on_dispatch = on_dispatch
         self.now = 0.0
+        self.processed = 0
+        self.order = []
+
+    @property
+    def pending(self):
+        return len(self._queue) - self._dead
+
+    @property
+    def heap_depth(self):
+        return len(self._queue)
 
     def call_at(self, when, tag):
-        entry = [float(when), next(self._seq), tag, True]
+        entry = [float(when), next(self._seq), tag, self.LIVE]
         self._heapq.heappush(self._queue, entry)
         return entry
 
-    def run(self):
-        order = []
-        while self._queue:
-            due, _, tag, live = self._heapq.heappop(self._queue)
-            if not live:
-                continue
-            self.now = due
-            order.append(tag)
-        return order
+    def cancel(self, entry):
+        if entry[3] != self.LIVE:
+            return
+        entry[3] = self.CANCELLED
+        self._dead += 1
+        if (self._dead >= EventLoop._COMPACT_MIN_DEAD
+                and self._dead * 2 >= len(self._queue)):
+            self._queue = [e for e in self._queue if e[3] == self.LIVE]
+            self._heapq.heapify(self._queue)
+            self._dead = 0
+
+    def _head(self):
+        while self._queue and self._queue[0][3] == self.CANCELLED:
+            self._heapq.heappop(self._queue)
+            self._dead -= 1
+        return self._queue[0] if self._queue else None
+
+    def step(self):
+        if self._head() is None:
+            return False
+        entry = self._heapq.heappop(self._queue)
+        entry[3] = self.FIRED
+        self.now = entry[0]
+        self.processed += 1
+        self.order.append(entry[2])
+        if self._on_dispatch is not None:
+            self._on_dispatch(entry[2])
+        return True
+
+    def run(self, until=None, max_events=None):
+        ran = 0
+        while max_events is None or ran < max_events:
+            head = self._head()
+            if head is None or (until is not None and head[0] > until):
+                break
+            self.step()
+            ran += 1
+        if until is not None and until > self.now:
+            self.now = until
+        return ran
 
 
 @given(data=st.data())
@@ -385,16 +436,135 @@ def test_property_calendar_queue_matches_reference_heap(data):
     for i in sorted(to_cancel):
         timer, entry = timers[i]
         timer.cancel()
-        entry[3] = False
+        reference.cancel(entry)
     for i, when in sorted(to_reschedule.items()):
         timer, entry = timers[i]
         if not timer.active:
             continue
+        reference.cancel(entry)
         timers[i] = (loop.reschedule(timer, when),
                      reference.call_at(when, i))
-        entry[3] = False
     loop.run()
-    assert fired == reference.run()
+    reference.run()
+    assert fired == reference.order
+    assert loop.pending == 0
+
+
+#: What a dispatching callback does: book a new timer ``delay`` ms out,
+#: cancel timer ``j``, or move timer ``j`` if it is still pending.  ``j``
+#: indexes the timers booked so far, modulo their count.
+_ACTIONS = st.one_of(
+    st.tuples(st.just("add"), st.floats(0.0, 3_000.0)),
+    st.tuples(st.just("cancel"), st.integers(0, 1_000)),
+    st.tuples(st.just("reschedule"), st.integers(0, 1_000),
+              st.floats(0.0, 3_000.0)))
+#: One driver call between two checkpoints; ``until`` offsets are
+#: relative to the clock at the call.
+_SLICES = st.one_of(
+    st.tuples(st.just("step")),
+    st.tuples(st.just("run"), st.none() | st.floats(0.0, 1_500.0),
+              st.none() | st.integers(0, 6)))
+
+
+class _World:
+    """One loop plus the timers its callbacks book, by tag (booking
+    order).  ``plans[tag]`` is what dispatching ``tag`` does."""
+
+    def __init__(self, plans):
+        self.plans = plans
+        self.handles = []
+
+    def act(self, tag):
+        for action in self.plans[tag] if tag < len(self.plans) else ():
+            if action[0] == "add":
+                self.book(self.now() + action[1])
+            elif action[0] == "cancel":
+                self.cancel(action[1] % len(self.handles))
+            else:
+                self.reschedule(action[1] % len(self.handles),
+                                self.now() + action[2])
+
+
+class _KernelWorld(_World):
+    def __init__(self, plans):
+        super().__init__(plans)
+        self.loop = EventLoop()
+        self.fired = []
+
+    def now(self):
+        return self.loop.now
+
+    def fire(self, tag):
+        self.fired.append(tag)
+        self.act(tag)
+
+    def book(self, when):
+        tag = len(self.handles)
+        self.handles.append(self.loop.call_at(when, self.fire, tag))
+
+    def cancel(self, tag):
+        self.handles[tag].cancel()
+
+    def reschedule(self, tag, when):
+        if self.handles[tag].active:
+            self.handles[tag] = self.loop.reschedule(self.handles[tag], when)
+
+
+class _ReferenceWorld(_World):
+    def __init__(self, plans):
+        super().__init__(plans)
+        self.loop = _ReferenceHeapLoop(on_dispatch=self.act)
+
+    def now(self):
+        return self.loop.now
+
+    def book(self, when):
+        tag = len(self.handles)
+        self.handles.append(self.loop.call_at(when, tag))
+
+    def cancel(self, tag):
+        self.loop.cancel(self.handles[tag])
+
+    def reschedule(self, tag, when):
+        entry = self.handles[tag]
+        if entry[3] == _ReferenceHeapLoop.LIVE:
+            self.loop.cancel(entry)  # cancel first, as the kernel does
+            self.handles[tag] = self.loop.call_at(when, tag)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_property_dispatch_loop_matches_reference_heap_in_slices(data):
+    """The dispatch loop against the reference heap: callbacks book,
+    cancel and reschedule timers while dispatching, and the queue drains
+    through ``run(until=...)`` / ``run(max_events=...)`` slices mixed
+    with bare ``step()`` calls.  At every slice boundary the return
+    value, dispatch order, ``now``, ``processed``, ``pending`` and
+    ``heap_depth`` agree."""
+    dues = data.draw(st.lists(st.floats(0.0, 5_000.0), min_size=1,
+                              max_size=30))
+    plans = data.draw(st.lists(st.lists(_ACTIONS, max_size=3),
+                               max_size=60))
+    slices = data.draw(st.lists(_SLICES, max_size=25))
+    kernel = _KernelWorld(plans)
+    reference = _ReferenceWorld(plans)
+    for due in dues:
+        kernel.book(due)
+        reference.book(due)
+    loop, oracle = kernel.loop, reference.loop
+    for op in slices + [("run", None, None)]:  # the last call drains
+        if op[0] == "step":
+            got, want = loop.step(), oracle.step()
+        else:
+            until = None if op[1] is None else loop.now + op[1]
+            got = loop.run(until=until, max_events=op[2])
+            want = oracle.run(until=until, max_events=op[2])
+        assert got == want
+        assert kernel.fired == oracle.order
+        assert loop.now == oracle.now
+        assert loop.processed == oracle.processed
+        assert loop.pending == oracle.pending
+        assert loop.heap_depth == oracle.heap_depth
     assert loop.pending == 0
 
 
